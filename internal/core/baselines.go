@@ -8,10 +8,10 @@ import (
 )
 
 // LocalSSF is a heuristic baseline standing in for Chlebus et al.'s
-// O(k log² n) locally-synchronized wake-up protocol (paper §1, ref [9];
-// DESIGN.md §4 substitution 3). Each station ignores the global clock
-// entirely and runs, from its LOCAL wake time, the cyclic concatenation of
-// Kautz–Singleton (n,2^i)-strongly-selective families for i = 1..MaxI.
+// O(k log² n) locally-synchronized wake-up protocol (paper §1, ref [9]).
+// Each station ignores the global clock entirely and runs, from its LOCAL
+// wake time, the cyclic concatenation of Kautz–Singleton
+// (n,2^i)-strongly-selective families for i = 1..MaxI.
 //
 // Because stations are shifted arbitrarily relative to one another, no
 // family-level selectivity guarantee survives — strong selectivity makes

@@ -24,7 +24,7 @@
 //
 //   - LocalSSF — a heuristic locally-synchronized stand-in for Chlebus et
 //     al.'s O(k log² n) protocol (the paper cites it as the best prior
-//     bound for Scenario C-like settings; see DESIGN.md §4 substitution 3).
+//     bound for Scenario C-like settings; measured, not proven).
 //   - TreeCD — Capetanakis-style binary splitting under collision
 //     detection, the classic contrast model (§1).
 //   - KGConflictResolution — the Komlós–Greenberg objective (§1 related

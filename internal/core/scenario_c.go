@@ -16,9 +16,9 @@ import (
 //
 // Theorem 5.3: the first success occurs within O(k log n log log n) slots
 // of the first wake-up. The matrix is the §5.3 random construction keyed by
-// the run seed (DESIGN.md §4 substitution 2); a station that exhausts all
-// rows restarts from row 1, which Theorem 5.3 guarantees is unreachable for
-// any k ≤ n workload.
+// the run seed (the probabilistic method instantiated by a seed); a station
+// that exhausts all rows restarts from row 1, which Theorem 5.3 guarantees
+// is unreachable for any k ≤ n workload.
 type WakeupC struct {
 	// C is the protocol constant c (0 = matrix.DefaultC). Residence times
 	// and the matrix length scale linearly with it; T8c sweeps it.

@@ -11,7 +11,7 @@ import (
 	"nsmac/internal/sweep"
 )
 
-// T8Ablations removes the design elements DESIGN.md calls out one at a time
+// T8Ablations removes the algorithms' design elements one at a time
 // and measures what breaks:
 //
 //	(a) wait_and_go without the family-boundary wait — §4's correctness

@@ -1,11 +1,11 @@
-// Package experiments contains one driver per table/figure in DESIGN.md §5.
-// Each driver declares the workload grid its experiment prescribes against
-// the internal/sweep orchestrator — which shards cells over a worker pool
-// with derived RNG streams — and emits an aligned text table whose rows are
-// what EXPERIMENTS.md records. The paper has no empirical
-// tables — its evaluation is a set of theorems — so each experiment
-// measures the *shape* a theorem promises: bounded ratios to the claimed
-// bound, growth exponents, crossovers.
+// Package experiments contains one driver per experiment table T1–T12 (see
+// README "Experiment tables"). Each driver declares the workload grid its
+// experiment prescribes against the internal/sweep orchestrator — which
+// shards cells over a worker pool with derived RNG streams — and emits an
+// aligned text table, the rows cmd/wakeup-bench prints. The paper has no
+// empirical tables — its evaluation is a set of theorems — so each
+// experiment measures the *shape* a theorem promises: bounded ratios to the
+// claimed bound, growth exponents, crossovers.
 package experiments
 
 import (
@@ -24,7 +24,7 @@ import (
 // Config tunes experiment scale.
 type Config struct {
 	// Quick shrinks sweeps and trial counts for CI / go test; the full
-	// configuration is what cmd/wakeup-bench runs for EXPERIMENTS.md.
+	// configuration is what cmd/wakeup-bench runs with no flags.
 	Quick bool
 	// Trials overrides the per-cell trial count (0 = experiment default).
 	Trials int
@@ -53,7 +53,7 @@ func (c Config) seed(tag uint64) uint64 { return rng.Derive(c.Seed^0x5eed, tag) 
 
 // Table is an experiment's rendered result.
 type Table struct {
-	// ID matches DESIGN.md §5 (T1…T10).
+	// ID is the table ID (T1…T12) that wakeup-bench -only selects.
 	ID string
 	// Title states what the experiment measures.
 	Title string
@@ -193,7 +193,7 @@ type Experiment struct {
 	Run   func(Config) *Table
 }
 
-// All returns every experiment in DESIGN.md §5 order.
+// All returns every experiment in table-ID order.
 func All() []Experiment {
 	return []Experiment{
 		{"T1", "Theorem 2.1 lower bound via swap adversary", T1LowerBound},

@@ -12,13 +12,13 @@ import (
 	"nsmac/internal/sweep"
 )
 
-// T11SeedRobustness validates the probabilistic-method substitution
-// (DESIGN.md §4): §5.3 proves a RANDOM matrix is a waking matrix with
-// probability exponentially close to 1 (as §6 remarks), and this repo
-// instantiates the random matrix by a seed. If the substitution is sound,
-// wakeup(n) must succeed for essentially every seed, with a tight latency
-// distribution across seeds. The same sweep is run for the seeded-random
-// selective families behind wakeup_with_k.
+// T11SeedRobustness validates the probabilistic-method substitution (a
+// random object instantiated by a fixed seed): §5.3 proves a RANDOM matrix
+// is a waking matrix with probability exponentially close to 1 (as §6
+// remarks), and this repo instantiates the random matrix by a seed. If the
+// substitution is sound, wakeup(n) must succeed for essentially every seed,
+// with a tight latency distribution across seeds. The same sweep is run for
+// the seeded-random selective families behind wakeup_with_k.
 func T11SeedRobustness(cfg Config) *Table {
 	t := &Table{
 		ID:     "T11",

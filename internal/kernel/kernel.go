@@ -13,14 +13,19 @@
 // Kautz–Singleton baseline) are additionally memoized across trials in a
 // bounded cache keyed by the algorithm's name + config fingerprint and the
 // schedule's (params, id, wake) inputs, so a cell's later trials skip even
-// the render; on those rosters the scan additionally steps blockWords words
-// per station pass, amortizing the per-station loop over 256 slots.
-// Seed-sensitive schedules (selective-family ladders, the Scenario C matrix,
-// RPD/BEB personal hashes) render once per (trial, id) into a trial-scoped
-// bucket that survives Reset: re-executions of the same trial — the same
-// (algorithm, config, params, seed) inputs on the same kernel, wherever in
-// the cell's worker batches they occur — reuse the rendered words and the
-// mid-stream schedule closures instead of re-rendering.
+// the render. Seed-sensitive schedules (selective-family ladders, the
+// Scenario C matrix, RPD/BEB personal hashes) render afresh every trial into
+// pooled scratch bitmaps.
+//
+// Renders are lazy and progressive: each scan block spans as many slots as
+// the trial has executed so far (at least minSpan, at most one word — or
+// blockWords words on memoized rosters, where the per-station pass amortizes
+// over 256 slots), and a station's schedule is rendered only to the block's
+// end. A trial that executes r slots from its first wake s therefore renders
+// no schedule past slot s + 2r + minSpan, rather than a whole word or word
+// group past the success that the engine never pays for. Through slots
+// where every station's memoized schedule is already rendered, blocks run at
+// full width: they render nothing there.
 //
 // Perturbing channels (noisy:<p>, jam:<q>) execute word-wide too: the
 // channel advertises its perturbation shape through model.KernelPerturber
@@ -39,8 +44,10 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"nsmac/internal/bitset"
 	"nsmac/internal/model"
@@ -59,12 +66,16 @@ const maxCacheWords = 1 << 21
 const maxCacheEntries = 1 << 16
 
 // blockWords is how many 64-slot words one station pass of the scan loop
-// covers on memoized rosters: the per-station overhead (pointer chase, wake
-// and render checks) amortizes over 256 slots instead of 64. Seed-sensitive
-// rosters keep single-word passes — their render cost is per-slot, and a
-// wider block would render up to blockWords*64 slots past an early success
-// that the engine never pays for.
+// covers at most on memoized rosters: the per-station overhead (pointer
+// chase, wake and render checks) amortizes over 256 slots instead of 64.
+// Seed-sensitive rosters cap at single-word passes: their blocks render
+// per-slot closures afresh every trial, which a wider pass cannot amortize.
 const blockWords = 4
+
+// minSpan is the first scan block of a trial, in slots. Blocks then grow to
+// the number of slots executed so far (see RunTo), so rendering ahead of the
+// channel stays within a constant factor of the executed slots.
+const minSpan = 8
 
 // sched is one station's rendered schedule: words[t>>6] bit t&63 is set iff
 // the station transmits in global slot t. Rendering is lazy — extendTo
@@ -84,7 +95,9 @@ func (sc *sched) extendTo(limit int64) {
 	}
 	need := int((limit + 63) >> 6)
 	if cap(sc.words) < need {
-		grown := make([]uint64, need, max(need, 2*cap(sc.words)))
+		// A fresh bitmap starts at a full block group: progressive spans
+		// would otherwise regrow it word by word.
+		grown := make([]uint64, need, max(need, 2*cap(sc.words), blockWords))
 		copy(grown, sc.words)
 		sc.words = grown
 	} else {
@@ -116,9 +129,6 @@ type bucketKey struct {
 	config uint64
 	n, k   int
 	s      int64
-	// seed scopes seed-sensitive buckets to their trial (the run seed); it is
-	// zero for cross-trial memo buckets, whose schedules are seed-invariant.
-	seed uint64
 }
 
 type entryKey struct {
@@ -171,18 +181,7 @@ type Kernel struct {
 	cacheWords   int64
 	limitWords   int64    // eviction thresholds; the package consts, except in
 	limitEntries int      // boundary tests that shrink them via SetCacheLimits
-	free         []*sched // scratch scheds pooled across trials
-
-	// The trial bucket is the batch-scoped memo for seed-sensitive
-	// schedules: rendered once per (trial, id) and kept — closures mid-stream
-	// and all — until a DIFFERENT seed-sensitive trial arrives, so re-running
-	// the same (algorithm, config, params, seed) trial on this kernel (in a
-	// later worker batch, a differential re-check, a Step-after-Reset replay)
-	// reuses the renders instead of rebuilding. Bounded by one trial's
-	// station count.
-	trial    map[entryKey]*sched
-	trialKey bucketKey
-	trialOK  bool
+	scratch      []*sched // seed-sensitive scheds: station i of a trial renders into scratch[i]
 
 	stations []stationRef
 	wbuf     []uint64 // per-station schedule words of the block being stepped
@@ -222,13 +221,17 @@ type Kernel struct {
 	s, t, end int64
 	result    model.Result
 	done      bool
+
+	// warm is the global slot up to which every station of the trial had
+	// its schedule rendered at Reset (memo hits); blocks run through
+	// [t, warm) at full width, since they render nothing there.
+	warm int64
 }
 
 // New returns a kernel ready for its first Reset.
 func New() *Kernel {
 	return &Kernel{
 		cache:        make(map[bucketKey]map[entryKey]*sched),
-		trial:        make(map[entryKey]*sched),
 		limitWords:   maxCacheWords,
 		limitEntries: maxCacheEntries,
 	}
@@ -365,10 +368,7 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 		k.cacheWords = 0
 		k.curOK = false
 	}
-	if k.mode == modeEpoch {
-		// Epoch trials cache nothing: station state IS the trial, so the
-		// arena below is rebuilt per Reset and only its capacity is reused.
-	} else if k.memo {
+	if k.memo {
 		bk := bucketKey{algo: algo.Name(), config: class.Config, n: p.N, k: p.K, s: p.S}
 		if !k.curOK || bk != k.curKey {
 			bucket, ok := k.cache[bk]
@@ -378,130 +378,114 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 			}
 			k.cur, k.curKey, k.curOK = bucket, bk, true
 		}
-	} else {
-		// Seed-sensitive: the trial bucket memoizes renders for exactly one
-		// trial identity. A matching Reset reuses every rendered word (the
-		// schedule closures resume mid-stream, which is sound because
-		// rendering is strictly sequential in t); a different trial recycles
-		// the scheds — word capacity retained — into the free pool.
-		tk := bucketKey{algo: algo.Name(), config: class.Config, n: p.N, k: p.K, s: p.S, seed: opt.Seed}
-		if !k.trialOK || tk != k.trialKey {
-			// The free pool recycles capacity containers only: words are
-			// truncated and every sched is re-rendered under its next identity,
-			// so pool order never reaches output bytes.
-			//nsmac:nondeterminism-ok free-pool recycling order is capacity reuse only, not output
-			for _, sc := range k.trial {
-				sc.fn = nil
-				sc.words = sc.words[:0]
-				sc.rendered = 0
-				k.free = append(k.free, sc)
-			}
-			clear(k.trial)
-			k.trialKey, k.trialOK = tk, true
-		}
 	}
 
-	// Station table in wake order (ties by ID), mirroring the engine.
+	// Station table in wake order (ties by ID), mirroring the engine and,
+	// like it, sorted in place inside the reused backing array.
 	n := w.K()
 	if cap(k.stations) < n {
-		k.stations = make([]stationRef, 0, n)
+		k.stations = make([]stationRef, n)
 	}
-	k.stations = k.stations[:0]
-	sw := model.WakePattern{IDs: w.IDs, Wakes: w.Wakes}
+	k.stations = k.stations[:n]
 	sorted := true
-	for i := 1; i < n; i++ {
-		if sw.Wakes[i] < sw.Wakes[i-1] ||
-			(sw.Wakes[i] == sw.Wakes[i-1] && sw.IDs[i] < sw.IDs[i-1]) {
+	for i := range k.stations {
+		k.stations[i] = stationRef{id: w.IDs[i], wake: w.Wakes[i]}
+		if i > 0 && wakeOrder(k.stations[i], k.stations[i-1]) < 0 {
 			sorted = false
-			break
 		}
 	}
 	if !sorted {
-		sw = w.Sorted()
+		slices.SortFunc(k.stations, wakeOrder)
 	}
 
-	k.s = sw.Wakes[0]
+	k.s = k.stations[0].wake
 	k.t = k.s
 	k.end = k.s + opt.Horizon
 	k.next = 0
 	k.result = model.Result{SuccessSlot: -1, Rounds: -1}
 	k.done = false
 
+	// Stations waking at or past the horizon are never activated by the
+	// engine either: they neither transmit nor listen inside it.
+	for n > 0 && k.stations[n-1].wake >= k.end {
+		n--
+	}
+	k.stations = k.stations[:n]
+	k.warm = 0
+
 	if k.mode == modeEpoch {
 		// The epoch arena: one ref per awake station, rebuilt per trial
 		// inside the reused backing array. Stations are built lazily in
 		// stepEpoch (st == nil until their word arrives), mirroring the
-		// engine's build-at-activation economy.
+		// engine's build-at-activation economy. Epoch trials cache nothing:
+		// station state IS the trial.
 		if cap(k.epochs) < n {
 			k.epochs = make([]epochRef, 0, n)
 		}
 		k.epochs = k.epochs[:0]
-		for i := 0; i < n; i++ {
-			if sw.Wakes[i] >= k.end {
-				// Never activated by the engine either.
-				continue
-			}
-			k.epochs = append(k.epochs, epochRef{id: sw.IDs[i], wake: sw.Wakes[i]})
+		for _, st := range k.stations {
+			k.epochs = append(k.epochs, epochRef{id: st.id, wake: st.wake})
 		}
-		if cap(k.wbuf) < len(k.epochs) {
-			k.wbuf = make([]uint64, len(k.epochs))
+		if cap(k.wbuf) < n {
+			k.wbuf = make([]uint64, n)
 		}
-		k.wbuf = k.wbuf[:len(k.epochs)]
+		k.wbuf = k.wbuf[:n]
 		return nil
 	}
 
-	for i := 0; i < n; i++ {
-		id, wake := sw.IDs[i], sw.Wakes[i]
-		if wake >= k.end {
-			// Never activated by the engine either: it neither transmits nor
-			// listens inside the horizon.
+	if k.memo {
+		k.warm = k.end
+	}
+	for i := range k.stations {
+		st := &k.stations[i]
+		// Schedules are built lazily in stepBlock (fn == nil until first
+		// use), mirroring the engine's build-at-activation: stations that
+		// never get stepped — the trial succeeds before their wake — are
+		// never built.
+		if !k.memo {
+			// Seed-sensitive: render afresh into pooled scratch, keeping only
+			// the word capacity of earlier trials.
+			if i == len(k.scratch) {
+				k.scratch = append(k.scratch, &sched{})
+			}
+			sc := k.scratch[i]
+			sc.fn, sc.wake, sc.words, sc.rendered = nil, st.wake, sc.words[:0], 0
+			st.sc = sc
 			continue
 		}
-		// Schedules are built lazily in stepWord (fn == nil until first use),
-		// mirroring the engine's build-at-activation: stations that never get
-		// stepped — the trial succeeds before their wake — are never built.
-		var sc *sched
-		var off int64
-		if k.memo {
-			key := entryKey{id: id, wake: wake}
-			if !class.WakeSensitive || k.local {
-				// Local-clock schedules are one bitmap per station, cached in
-				// local time and shifted per wake — like wake-insensitive
-				// ones, the wake is not part of their identity.
-				key.wake = 0
-			}
-			if k.local {
-				off = wake
-			}
-			if cached, hit := k.cur[key]; hit {
-				sc = cached
-			} else {
-				sc = &sched{wake: key.wake}
-				k.cur[key] = sc
-				k.cacheEntries++
-			}
-		} else {
-			key := entryKey{id: id, wake: wake}
-			if cached, hit := k.trial[key]; hit {
-				sc = cached
-			} else {
-				if m := len(k.free); m > 0 {
-					sc = k.free[m-1]
-					k.free = k.free[:m-1]
-				} else {
-					sc = &sched{}
-				}
-				sc.wake = wake
-				k.trial[key] = sc
-			}
+		key := entryKey{id: st.id, wake: st.wake}
+		if !class.WakeSensitive || k.local {
+			// Local-clock schedules are one bitmap per station, cached in
+			// local time and shifted per wake — like wake-insensitive ones,
+			// the wake is not part of their identity.
+			key.wake = 0
 		}
-		k.stations = append(k.stations, stationRef{id: id, wake: wake, off: off, sc: sc})
+		if k.local {
+			st.off = st.wake
+		}
+		sc, hit := k.cur[key]
+		if !hit {
+			sc = &sched{wake: key.wake}
+			k.cur[key] = sc
+			k.cacheEntries++
+		}
+		st.sc = sc
+		k.warm = min(k.warm, sc.rendered+st.off)
 	}
-	if cap(k.wbuf) < len(k.stations)*blockWords {
-		k.wbuf = make([]uint64, len(k.stations)*blockWords)
+	if cap(k.wbuf) < n*blockWords {
+		k.wbuf = make([]uint64, n*blockWords)
 	}
-	k.wbuf = k.wbuf[:len(k.stations)*blockWords]
+	k.wbuf = k.wbuf[:n*blockWords]
 	return nil
+}
+
+// wakeOrder orders stations by wake, ties by ID — the engine's activation
+// order (model.WakePattern.Sorted).
+func wakeOrder(a, b stationRef) int {
+	if a.wake != b.wake {
+		return cmp.Compare(a.wake, b.wake)
+	}
+	return a.id - b.id
 }
 
 func errIneligible(algo model.Algorithm) error {
@@ -716,18 +700,22 @@ func (k *Kernel) RunTo(until int64) bool {
 	if limit > k.end {
 		limit = k.end
 	}
-	// Memoized rosters step blockWords words per station pass (renders are
-	// cache-amortized); seed-sensitive ones keep single-word passes so an
-	// early success never over-renders per-slot schedule closures.
-	span := int64(64)
+	// Memoized rosters step up to blockWords words per station pass
+	// (renders are cache-amortized); seed-sensitive ones at most one word.
+	maxSpan := int64(64)
 	if k.memo {
-		span = 64 * blockWords
+		maxSpan = 64 * blockWords
 	}
 	for !k.done && k.t < limit {
-		hi := (k.t &^ 63) + span
-		if hi > limit {
-			hi = limit
-		}
+		// Progressive span: a block covers as many slots as the trial has
+		// executed so far, so no render reaches past s + 2*(t-s) + minSpan — an
+		// early success never pays for a full word (or word group) of
+		// per-slot schedule closures. Slots below warm are rendered already
+		// and cost no render, so the block may run through them regardless.
+		// A block covers at most maxSpan/64 words from t's word, which is
+		// what stepBlock's word buffers hold.
+		span := min(max(k.t-k.s, minSpan), maxSpan)
+		hi := min(max(k.t+span, k.warm), k.t&^63+maxSpan, limit)
 		// Never step across the wake of a station whose schedule would have
 		// to be BUILT for it: a trial that ends in [t, wake) must not pay
 		// for the schedules of stations that never woke — the engine's

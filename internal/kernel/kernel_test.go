@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"nsmac/internal/core"
@@ -259,10 +260,13 @@ func (soloAt) ObliviousClass() (model.ScheduleClass, bool) {
 	return model.ScheduleClass{WakeSensitive: true}, true
 }
 
-// countingAlgo counts Build invocations — the memoization observable.
+// countingAlgo counts Build invocations — the memoization observable — and,
+// when queries is non-nil, each station's transmit queries — the render
+// observable.
 type countingAlgo struct {
-	builds *int
-	seeded bool // advertise as seed-sensitive
+	builds  *int
+	queries map[int]int
+	seeded  bool // advertise as seed-sensitive
 }
 
 func (a countingAlgo) Name() string { return fmt.Sprintf("counting(seeded=%v)", a.seeded) }
@@ -270,6 +274,12 @@ func (a countingAlgo) Build(p model.Params, id int, wake int64, _ *rng.Source) m
 	*a.builds++
 	n := int64(p.N)
 	slot := int64(id - 1)
+	if a.queries != nil {
+		return func(t int64) bool {
+			a.queries[id]++
+			return t%n == slot
+		}
+	}
 	return func(t int64) bool { return t%n == slot }
 }
 func (a countingAlgo) ObliviousClass() (model.ScheduleClass, bool) {
@@ -528,53 +538,64 @@ func TestKernelPerturbedMidRun(t *testing.T) {
 	}
 }
 
-// TestKernelTrialMemoization pins the batch-scoped memo for seed-sensitive
-// schedules: re-running the SAME trial identity (algorithm, params, seed) on
-// one kernel reuses the rendered schedules — zero extra builds — while any
-// change of identity recycles the bucket and rebuilds. Results must be
-// identical on the reused path.
-func TestKernelTrialMemoization(t *testing.T) {
-	p := model.Params{N: 16, S: -1, Seed: 7}
-	w := model.WakePattern{IDs: []int{11, 7, 2}, Wakes: []int64{0, 2, 5}}
-	opt := sim.Options{Horizon: 64, Seed: 7}
+// TestKernelRenderBound pins the progressive scan span: a station's schedule
+// is rendered only about as far as the trial executes. A trial that succeeds
+// early renders less than one 64-slot word per station on both the
+// seed-sensitive and the memoized path, and every trial keeps each station's
+// transmit queries within 2 × the executed slots + 8.
+func TestKernelRenderBound(t *testing.T) {
+	for _, seeded := range []bool{true, false} {
+		t.Run(fmt.Sprintf("seeded=%v", seeded), func(t *testing.T) {
+			// Memoized closures outlive their trial, so every trial shares one
+			// query tally and reports its own increments.
+			builds, tally := 0, map[int]int{}
+			algo := countingAlgo{builds: &builds, queries: tally, seeded: seeded}
+			trial := func(kn *kernel.Kernel, p model.Params, w model.WakePattern, horizon int64) (model.Result, map[int]int) {
+				t.Helper()
+				before := maps.Clone(tally)
+				if err := kn.Reset(algo, p, w, sim.Options{Horizon: horizon, Seed: p.Seed}); err != nil {
+					t.Fatal(err)
+				}
+				res := kn.Run()
+				queries := map[int]int{}
+				for id, q := range tally {
+					if d := q - before[id]; d > 0 {
+						queries[id] = d
+					}
+				}
+				return res, queries
+			}
 
-	builds := 0
-	kn := kernel.New()
-	run := func() model.Result {
-		t.Helper()
-		if err := kn.Reset(countingAlgo{builds: &builds, seeded: true}, p, w, opt); err != nil {
-			t.Fatal(err)
-		}
-		return kn.Run()
-	}
+			// Station 2 transmits at slot 1 and wins there.
+			early := model.WakePattern{IDs: []int{2, 7, 11}, Wakes: []int64{0, 0, 0}}
+			res, queries := trial(kernel.New(), model.Params{N: 16, S: -1, Seed: 1}, early, 1024)
+			if res.SuccessSlot != 1 {
+				t.Fatalf("early trial: %+v, want success at slot 1", res)
+			}
+			for id, q := range queries {
+				if q >= 64 {
+					t.Errorf("early trial: station %d rendered %d slots, want < 64", id, q)
+				}
+			}
 
-	first := run()
-	if builds != 3 {
-		t.Fatalf("first trial built %d schedules, want 3", builds)
-	}
-	// Same trial identity again: served from the trial bucket.
-	for i := 0; i < 4; i++ {
-		if got := run(); got != first {
-			t.Fatalf("replay %d diverged: %+v != %+v", i, got, first)
-		}
-	}
-	if builds != 3 {
-		t.Errorf("replays of one trial identity built %d schedules total, want 3 (batch-scoped memo)", builds)
-	}
-	// A different seed is a different trial: the bucket turns over.
-	opt.Seed, p.Seed = 8, 8
-	run()
-	if builds != 6 {
-		t.Errorf("new trial identity: %d builds total, want 6", builds)
-	}
-	// And returning to the first identity re-renders — the bucket holds
-	// exactly one trial, by design.
-	opt.Seed, p.Seed = 7, 7
-	if got := run(); got != first {
-		t.Fatalf("re-rendered trial diverged: %+v != %+v", got, first)
-	}
-	if builds != 9 {
-		t.Errorf("returning identity: %d builds total, want 9 (single-trial bucket)", builds)
+			// One kernel across every trial, so memoized schedules rendered by
+			// earlier trials are on the tested path too.
+			kn := kernel.New()
+			for i := 0; i < 60; i++ {
+				n := []int{16, 64, 300}[i%3]
+				k := []int{1, 3, 8}[i/3%3]
+				spread := []int64{1, 20, 200}[i/9%3]
+				p := model.Params{N: n, S: -1, Seed: uint64(i)}
+				w := randomPattern(n, k, spread, uint64(i))
+				res, queries := trial(kn, p, w, 4*int64(n)+spread)
+				for id, q := range queries {
+					if bound := 2*res.Slots + 8; int64(q) > bound {
+						t.Fatalf("trial %d (n=%d k=%d spread=%d): station %d rendered %d slots over %d executed, want <= %d",
+							i, n, k, spread, id, q, res.Slots, bound)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -666,5 +687,49 @@ func TestKernelPathAllocsNoWorseThanEngine(t *testing.T) {
 	// The memoized warm path should be literally allocation-free.
 	if knAllocs > 0 {
 		t.Errorf("warm memoized kernel trial allocates %.1f, want 0", knAllocs)
+	}
+}
+
+// TestKernelPathAllocsSeedSensitive: a seed-sensitive kernel trial renders
+// afresh every trial, and must still allocate no more than the same trial on
+// a warm engine — for sorted and unsorted wake patterns alike. Every trial
+// gets a fresh seed, as every (cell, trial) of a sweep does.
+func TestKernelPathAllocsSeedSensitive(t *testing.T) {
+	patterns := map[string]model.WakePattern{
+		"sorted":   {IDs: []int{5, 9, 23, 40}, Wakes: []int64{0, 1, 4, 6}},
+		"unsorted": {IDs: []int{40, 9, 23, 5}, Wakes: []int64{6, 1, 4, 0}},
+	}
+	for _, e := range roster() {
+		if e.name != "rpd" && e.name != "wakeupc" {
+			continue
+		}
+		for pname, w := range patterns {
+			t.Run(e.name+"/"+pname, func(t *testing.T) {
+				const n = 256
+				algo := e.algo(n, w.K())
+				horizon := e.horizon(n, w.K())
+				run := func(x interface {
+					Reset(model.Algorithm, model.Params, model.WakePattern, sim.Options) error
+					Run() model.Result
+				}, seed uint64) {
+					if err := x.Reset(algo, e.params(n, w.K(), seed, 0), w, sim.Options{Horizon: horizon, Seed: seed}); err != nil {
+						t.Fatal(err)
+					}
+					x.Run()
+				}
+				eng, kn := sim.NewEngine(), kernel.New()
+				for seed := uint64(0); seed < 8; seed++ { // warm both
+					run(eng, seed)
+					run(kn, seed)
+				}
+				engSeed, knSeed := uint64(100), uint64(100)
+				engAllocs := testing.AllocsPerRun(100, func() { engSeed++; run(eng, engSeed) })
+				knAllocs := testing.AllocsPerRun(100, func() { knSeed++; run(kn, knSeed) })
+				if knAllocs > engAllocs {
+					t.Errorf("seed-sensitive kernel trial allocates %.2f, engine %.2f — kernel must not allocate more",
+						knAllocs, engAllocs)
+				}
+			})
+		}
 	}
 }

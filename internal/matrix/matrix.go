@@ -10,10 +10,10 @@
 //
 // Theorem 5.2 proves some fixed matrix with these marginals is a "waking
 // matrix" by the probabilistic method; this package realizes the random
-// matrix itself through a seeded avalanche hash (DESIGN.md §4 substitution
-// 2), so membership is a pure O(1) function and the ℓ-column object costs
-// no memory. Materialization and property checks for small n live in this
-// package too.
+// matrix itself through a seeded avalanche hash (the probabilistic method
+// instantiated by a fixed seed), so membership is a pure O(1) function and
+// the ℓ-column object costs no memory. Materialization and property checks
+// for small n live in this package too.
 package matrix
 
 import (

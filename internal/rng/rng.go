@@ -7,7 +7,7 @@
 // Everything here is seeded explicitly. Two runs with the same seeds produce
 // identical schedules, identical matrices and identical experiment tables on
 // any platform and Go version, which is what makes the "probabilistic method
-// instantiated by a fixed seed" substitution (see DESIGN.md §4) reproducible.
+// instantiated by a fixed seed" substitution reproducible.
 package rng
 
 // Mix64 is the splitmix64 finalizer: a bijective avalanche permutation on

@@ -110,7 +110,8 @@ func TestRandomPow2Density(t *testing.T) {
 
 func TestRandomPow2SelectiveSmall(t *testing.T) {
 	// Exhaustive check of the probabilistic-method family on a small
-	// universe: this is the DESIGN.md §4 substitution validated exactly.
+	// universe: the seeded instantiation of the random family validated
+	// exactly.
 	for _, tc := range []struct{ n, i int }{
 		{10, 1}, {10, 2}, {12, 2}, {14, 1},
 	} {

@@ -216,8 +216,8 @@ func NewKGConflictResolution() Algorithm { return core.NewKGConflictResolution()
 // CollisionDetection feedback, Adaptive run options, simultaneous start).
 func NewTreeCD() Algorithm { return core.NewTreeCD() }
 
-// NewLocalSSF returns the heuristic locally-synchronized baseline (see
-// DESIGN.md §4 substitution 3).
+// NewLocalSSF returns the heuristic locally-synchronized baseline, a
+// measured (not proven) stand-in for Chlebus et al.'s O(k log² n) protocol.
 func NewLocalSSF() Algorithm { return core.NewLocalSSF() }
 
 // NewBEB returns binary exponential backoff, the Aloha/Ethernet practical
