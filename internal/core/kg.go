@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"nsmac/internal/mathx"
 	"nsmac/internal/model"
 	"nsmac/internal/rng"
@@ -22,6 +24,24 @@ import (
 type KGConflictResolution struct {
 	// SizeMult scales the random selective families (0 = default).
 	SizeMult float64
+
+	// last is the most recently built ladder. Every station of a trial
+	// shares one ladder (it depends only on the params and SizeMult), so the
+	// stations after the first reuse it instead of rebuilding it. Stations
+	// only read a ladder, so sharing one across goroutines is safe.
+	last atomic.Pointer[kgLadder]
+}
+
+// kgLadder is a built ladder together with the inputs it was built from.
+type kgLadder struct {
+	key kgLadderKey
+	seq *selectors.Sequence
+}
+
+type kgLadderKey struct {
+	n, maxI int
+	seed    uint64
+	mult    float64
 }
 
 // NewKGConflictResolution returns the conflict-resolution extension.
@@ -35,15 +55,21 @@ func (a *KGConflictResolution) Build(p model.Params, id int, wake int64, _ *rng.
 	panic("core: kg_conflict_resolution is adaptive; run it with sim.RunAll")
 }
 
-// ladder builds the shared family ladder up to ⌈log k⌉ (or ⌈log n⌉ when k
-// is unknown).
+// ladder returns the shared family ladder up to ⌈log k⌉ (or ⌈log n⌉ when k
+// is unknown), reusing the last one built when its inputs match.
 func (a *KGConflictResolution) ladder(p model.Params) *selectors.Sequence {
 	base := p.N
 	if p.KnowsK() {
 		base = p.K
 	}
 	maxI := mathx.Max(1, mathx.Log2Ceil(mathx.Max(2, base)))
-	return selectors.RandomLadder(p.N, maxI, rng.Derive(p.Seed, 0x96), a.SizeMult)
+	key := kgLadderKey{n: p.N, maxI: maxI, seed: rng.Derive(p.Seed, 0x96), mult: a.SizeMult}
+	if l := a.last.Load(); l != nil && l.key == key {
+		return l.seq
+	}
+	l := &kgLadder{key, selectors.RandomLadder(key.n, key.maxI, key.seed, key.mult)}
+	a.last.Store(l)
+	return l.seq
 }
 
 // BuildAdaptive implements model.Adaptive.

@@ -153,45 +153,16 @@ func (k *Kernel) stepEpoch(lo, hi int64) {
 		e := base + int64(b)
 		seg := win & (^uint64(0) >> uint(63-b))
 		k.result.Silences += int64(bits.OnesCount64(seg)) - 1
-		k.countEpochEnergy(seg, base, nact)
 		if scan.Multi&(1<<uint(b)) == 0 {
 			// Solo: the trial ends here. The engine's success-slot delivery
 			// is skipped — it cannot influence any further counter.
+			k.countEpochEnergy(seg, base, nact)
 			k.finishEpoch(e, nact)
 			return
 		}
 		k.result.Collisions++
-		changed := false
-		for i := 0; i < nact; i++ {
-			er := &k.epochs[i]
-			if er.wake > e {
-				break // not yet active at e
-			}
-			fb, successID := k.roles.For(k.wbuf[i]&(1<<uint(b)) != 0, er.id)
-			if fb == model.Silence {
-				// The engine delivers Observe(e, Silence, 0); the station's
-				// pending AdvanceSilent covers slot e instead.
-				continue
-			}
-			if er.pos < e {
-				er.st.AdvanceSilent(er.pos, e)
-			}
-			if er.st.ObserveEvent(e, fb, successID) {
-				// State diverged from the silence transition: the bits past e
-				// are stale. Re-render; later segments start at e+1, so the
-				// new word's pre-event garbage is never read.
-				k.wbuf[i] = er.st.RenderWord(base) & awakeMask(er.wake, base)
-				changed = true
-			}
-			er.pos = e + 1
-		}
+		scan = k.deliverCollision(seg, base, e, nact)
 		pos = e + 1
-		if changed && pos < hi {
-			scan = bitset.SoloScan{}
-			for i := 0; i < nact; i++ {
-				scan.Add(k.wbuf[i])
-			}
-		}
 	}
 
 	// No success in the word: settle every station's silent tail so the next
@@ -205,6 +176,41 @@ func (k *Kernel) stepEpoch(lo, hi int64) {
 	}
 	k.t = hi
 	k.result.Slots = k.t - k.s
+}
+
+// deliverCollision settles the segment seg that ends in the collision at slot
+// e in one pass over the first nact stations. Per station it counts the
+// segment's energy from the pre-event render, delivers the station's role
+// feedback (skipping stations whose role resolves to Silence — the engine's
+// Observe(e, Silence, 0) is covered by their pending AdvanceSilent),
+// re-renders a station whose state diverged from the silence transition, and
+// adds the (possibly fresh) word to the scan it returns for the rest of the
+// word. A re-rendered word's bits at or before e are never read: later
+// segments start at e+1.
+func (k *Kernel) deliverCollision(seg uint64, base, e int64, nact int) bitset.SoloScan {
+	var scan bitset.SoloScan
+	bit := uint64(1) << uint(e-base)
+	for i := 0; i < nact; i++ {
+		er := &k.epochs[i]
+		w, awake := k.wbuf[i], awakeMask(er.wake, base)
+		aw := seg & awake
+		k.result.Transmissions += int64(bits.OnesCount64(w & aw))
+		k.result.Listens += int64(bits.OnesCount64(aw &^ w))
+		if er.wake <= e {
+			if fb, successID := k.roles.For(w&bit != 0, er.id); fb != model.Silence {
+				if er.pos < e {
+					er.st.AdvanceSilent(er.pos, e)
+				}
+				if er.st.ObserveEvent(e, fb, successID) {
+					w = er.st.RenderWord(base) & awake
+					k.wbuf[i] = w
+				}
+				er.pos = e + 1
+			}
+		}
+		scan.Add(w)
+	}
+	return scan
 }
 
 // countEpochEnergy adds the physical transmission/listen counts of the slots
