@@ -332,55 +332,30 @@ func readInput(path string) []byte {
 	return data
 }
 
-// dispatchEvent is the JSON line `run -progress json` emits per driver
-// event, mirroring the worker's event stream shape.
-type dispatchEvent struct {
-	Event   string `json:"event"` // "cached", "start", "done", "retry", "failed"
-	Shard   int    `json:"shard"`
-	Shards  int    `json:"shards"`
-	Attempt int    `json:"attempt,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
-// dispatchProgress builds the driver's stderr progress hook for a
-// -progress mode.
-func dispatchProgress(mode string) func(sweep.Event) {
+// runProgress builds the "run" subcommand's stderr progress hook for a
+// -progress mode: human lines, one worker event per line, or nothing. A
+// failed attempt below the attempts cap is retried; at the cap it is final.
+func runProgress(mode string, attempts int) func(sweep.CampaignWorkerEvent) {
 	switch mode {
 	case "none":
 		return nil
 	case "json":
-		return func(ev sweep.Event) {
-			out := dispatchEvent{Shard: ev.Shard, Shards: ev.Shards, Attempt: ev.Attempt}
-			switch ev.State {
-			case sweep.EventCached:
-				out.Event = "cached"
-			case sweep.EventStart:
-				out.Event = "start"
-			case sweep.EventDone:
-				out.Event = "done"
-			case sweep.EventRetry:
-				out.Event = "retry"
-			case sweep.EventFailed:
-				out.Event = "failed"
-			}
-			if ev.Err != nil {
-				out.Error = ev.Err.Error()
-			}
-			emitJSONEvent(out)
-		}
+		return func(ev sweep.CampaignWorkerEvent) { emitJSONEvent(ev) }
 	case "", "text":
-		return func(ev sweep.Event) {
-			switch ev.State {
-			case sweep.EventCached:
+		return func(ev sweep.CampaignWorkerEvent) {
+			switch ev.Event {
+			case "cached":
 				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d already in store, skipping\n", ev.Shard, ev.Shards)
-			case sweep.EventStart:
+			case "lease":
 				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d attempt %d...\n", ev.Shard, ev.Shards, ev.Attempt)
-			case sweep.EventDone:
+			case "complete":
 				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d done\n", ev.Shard, ev.Shards)
-			case sweep.EventRetry:
-				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d attempt %d failed (%v), retrying\n", ev.Shard, ev.Shards, ev.Attempt, ev.Err)
-			case sweep.EventFailed:
-				fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d failed after %d attempts: %v\n", ev.Shard, ev.Shards, ev.Attempt, ev.Err)
+			case "fail":
+				if ev.Attempt < attempts {
+					fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d attempt %d failed (%s), retrying\n", ev.Shard, ev.Shards, ev.Attempt, ev.Error)
+				} else {
+					fmt.Fprintf(os.Stderr, "wakeup-bench: shard %d/%d failed after %d attempts: %s\n", ev.Shard, ev.Shards, ev.Attempt, ev.Error)
+				}
 			}
 		}
 	default:

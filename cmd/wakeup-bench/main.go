@@ -21,20 +21,21 @@
 //	wakeup-bench -spec grid.json -shard 2/3 -out s2.json
 //	wakeup-bench merge s0.json s1.json s2.json    # == the unsharded run
 //
-// The "run" subcommand drives the whole shard plan itself — dispatching
-// shards through a pluggable executor with retries, bounded concurrency and
-// a resumable on-disk store — and prints the merged result, byte-identical
-// to the unsharded run:
+// The "run" subcommand drives the whole shard plan itself on an embedded
+// campaign server — in-process lease workers run shards through a
+// pluggable executor, with retries, bounded concurrency and a resumable
+// on-disk store — and prints the merged result, byte-identical to the
+// unsharded run:
 //
 //	wakeup-bench run -spec grid.json -shards 3 -exec subprocess -store runs
-//	# ... killed mid-run? re-run only the missing shards:
-//	wakeup-bench run -spec grid.json -shards 3 -exec subprocess -store runs -resume
+//	# ... killed mid-run? the same command re-runs only the missing shards:
+//	wakeup-bench run -spec grid.json -shards 3 -exec subprocess -store runs
 //	wakeup-bench run -spec grid.json -shards 4 \
 //	    -exec 'cmd:ssh host wakeup-bench -spec - -shard {i}/{m}'
 //
-// Sweep-as-a-service flips the driver inside out: a long-lived server owns
-// the shard queue and pull-based lease workers (any machine that can reach
-// it) do the computing — with heartbeats, lease expiry, work stealing and
+// Sweep-as-a-service serves the same queue over HTTP: a long-lived server
+// owns the shard queue and pull-based lease workers (any machine that can
+// reach it) do the computing — with heartbeats, lease expiry, work stealing and
 // shard autotuning. Merged results stream while shards are in flight and
 // finish byte-identical to the one-process run:
 //
@@ -357,7 +358,8 @@ func runMerge(args []string) {
 }
 
 // runDispatch implements the "run" subcommand: execute a spec document's
-// whole m-shard plan through a pluggable executor — with retries, bounded
+// whole m-shard plan on an embedded campaign server whose in-process workers
+// run shards through a pluggable executor — with retries, bounded
 // concurrency and an optional resumable envelope store — and render the
 // merged result, byte-identical to the unsharded run.
 func runDispatch(args []string) {
@@ -366,9 +368,9 @@ func runDispatch(args []string) {
 		specFile = fs.String("spec", "", "grid spec document (JSON); \"-\" reads stdin (required)")
 		shards   = fs.Int("shards", 0, "shard count m of the trial-striped plan (required, >= 1)")
 		execSpec = fs.String("exec", "local", "executor: \"local\" (in-process), \"subprocess[:binary]\" (one process per shard; default binary: this one), or \"cmd:<template>\" (whitespace-split argv with {spec}/{i}/{m}/{fingerprint} substituted; envelope read from stdout, spec piped to stdin unless {spec} is used)")
-		storeDir = fs.String("store", "", "persist shard envelopes under this directory (<dir>/<fingerprint>/<i>-of-<m>.json); enables -resume")
-		resume   = fs.Bool("resume", false, "skip shards whose stored envelope is already complete and valid; re-run only missing or corrupt ones (requires -store)")
-		retries  = fs.Int("retries", 3, "dispatch attempt cap per shard")
+		storeDir = fs.String("store", "", "persist shard envelopes under this directory (<dir>/<fingerprint>/<i>-of-<m>.json); shards whose stored envelope is complete and valid are never re-run")
+		resume   = fs.Bool("resume", false, "accepted for compatibility: -store always resumes (requires -store)")
+		retries  = fs.Int("retries", 3, "attempt cap per shard; a failed attempt is retried at once")
 		conc     = fs.Int("concurrency", 1, "shards in flight at once")
 		workers  = fs.Int("workers", 0, "per-shard trial workers for local/subprocess executors (0 = GOMAXPROCS)")
 		batch    = fs.Int("batch", 0, "trials per work item (0 = auto); tunes scheduling overhead, never output")
@@ -379,7 +381,7 @@ func runDispatch(args []string) {
 	)
 	prof := addProfileFlags(fs)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: wakeup-bench run -spec grid.json -shards m [-exec local|subprocess[:bin]|cmd:...] [-store dir [-resume]] ...\n")
+		fmt.Fprintf(fs.Output(), "usage: wakeup-bench run -spec grid.json -shards m [-exec local|subprocess[:bin]|cmd:...] [-store dir] ...\n")
 		fs.PrintDefaults()
 	}
 	_ = fs.Parse(args)
@@ -419,23 +421,20 @@ func runDispatch(args []string) {
 		fmt.Fprintf(os.Stderr, "wakeup-bench: skipping cell %s\n", s)
 	}
 
-	d := &sweep.Driver{
-		Exec:        buildExecutor(*execSpec, *workers, *batch),
-		Resume:      *resume,
-		MaxAttempts: *retries,
-		Concurrency: *conc,
-	}
+	// MaxLeases = 1: no steal leases, so no shard ever runs twice.
+	opts := sweep.CampaignOptions{MaxAttempts: *retries, MaxLeases: 1}
 	if *storeDir != "" {
-		d.Store = &sweep.RunStore{Dir: *storeDir}
+		opts.Store = &sweep.RunStore{Dir: *storeDir}
 	}
 	if *quiet {
 		*progress = "none"
 	}
-	d.Progress = dispatchProgress(*progress)
+	onEvent := runProgress(*progress, *retries)
+	exec := buildExecutor(*execSpec, *workers, *batch)
 
-	// SIGINT/SIGTERM cancel the dispatch context: in-flight subprocess
+	// SIGINT/SIGTERM cancel the run context: in-flight subprocess
 	// shards are killed, and — with a store — every completed envelope is
-	// already on disk for a later -resume. Once the context is canceled the
+	// already on disk for a later run to resume from. Once the context is canceled the
 	// signal handler is released, so a second ^C terminates the process the
 	// default way (the local executor cannot abort a shard mid-grid).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -445,7 +444,7 @@ func runDispatch(args []string) {
 		stop()
 	}()
 
-	res, err := d.Run(ctx, doc, *shards)
+	res, err := sweep.NewCampaignServer(opts).Run(ctx, doc, *shards, *conc, exec, onEvent)
 	if err != nil {
 		fail("%v", err)
 	}

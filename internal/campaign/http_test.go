@@ -94,6 +94,25 @@ func TestWorkersPullOverHTTPByteIdentical(t *testing.T) {
 		}()
 	}
 	waitDone(t, s, id, 30*time.Second)
+	// The server can record the last upload before its reply reaches the
+	// worker; canceling then would turn that worker's "complete" into a
+	// "fail". Cancel only once every completion has been acknowledged.
+	completed := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, evs := range events {
+			for _, ev := range evs {
+				if ev.Event == "complete" {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(30 * time.Second); completed() < 4 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 	wg.Wait()
 
@@ -109,17 +128,7 @@ func TestWorkersPullOverHTTPByteIdentical(t *testing.T) {
 
 	// Both workers saw leases (4 shards across 2 pullers is enough work for
 	// the 5ms poll to interleave); every completion was logged worker-tagged.
-	mu.Lock()
-	defer mu.Unlock()
-	completes := 0
-	for _, name := range []string{"w1", "w2"} {
-		for _, ev := range events[name] {
-			if ev.Event == "complete" {
-				completes++
-			}
-		}
-	}
-	if completes != 4 {
+	if completes := completed(); completes != 4 {
 		t.Fatalf("workers completed %d shards, want 4", completes)
 	}
 	plans, _, err := dispatch.PlanShards(doc, 4)

@@ -54,8 +54,13 @@ func ParseManifest(data []byte) (Manifest, error) {
 	return m, nil
 }
 
+// maxShards caps a manifest's fixed shard counts: the server plans every
+// shard up front, so one absurd count in a submitted manifest would exhaust
+// its memory.
+const maxShards = 1 << 16
+
 // Validate checks the manifest's structure: at least one grid, unique
-// URL-safe grid IDs, non-negative shard counts.
+// URL-safe grid IDs, shard counts in [0, 65536].
 func (m Manifest) Validate() error {
 	if len(m.Grids) == 0 {
 		return fmt.Errorf("campaign: manifest has no grids")
@@ -72,8 +77,8 @@ func (m Manifest) Validate() error {
 			return fmt.Errorf("campaign: duplicate grid id %q", g.ID)
 		}
 		seen[g.ID] = true
-		if g.Shards < 0 {
-			return fmt.Errorf("campaign: grid %q declares %d shards", g.ID, g.Shards)
+		if g.Shards < 0 || g.Shards > maxShards {
+			return fmt.Errorf("campaign: grid %q declares %d shards, want 0..%d", g.ID, g.Shards, maxShards)
 		}
 	}
 	return nil

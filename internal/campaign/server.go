@@ -1,9 +1,11 @@
-// Package campaign turns the push-based `wakeup-bench run` driver into
-// sweep-as-a-service: a long-lived server owns a queue of shard work cut
-// from submitted campaign manifests (many SpecDocs against one RunStore),
-// and pull-based workers lease shards over HTTP/JSON, heartbeat to keep
-// their visibility timeout alive, and upload result envelopes that are
-// validated with the same DecodeShardResult hardening the driver uses.
+// Package campaign is the repository's one shard scheduler: a server owns
+// a queue of shard work cut from submitted campaign manifests (many
+// SpecDocs against one RunStore), and pull-based workers lease shards,
+// heartbeat to keep their visibility timeout alive, and upload result
+// envelopes that are validated with the DecodeShardResult/CheckEnvelope
+// hardening before they are trusted. Workers reach the server over
+// HTTP/JSON (`wakeup-bench serve`/`work`) or, through Server.Run, by direct
+// calls inside one process (`wakeup-bench run`).
 //
 // The fault-tolerance shape is the classic lease queue:
 //
@@ -66,7 +68,7 @@ type Options struct {
 	// duplicate steal lease may be granted on it (default LeaseTimeout/2).
 	StealAfter time.Duration
 	// MaxAttempts caps lease grants per shard; a shard that burns through
-	// them fails its grid (default 5).
+	// them fails its grid with the last attempt's error (default 5).
 	MaxAttempts int
 	// MaxLeases caps concurrent leases per shard, bounding duplicated
 	// steal work (default 2: one primary, one steal).
@@ -179,6 +181,7 @@ type shardState struct {
 	env      *sweep.ShardResult
 	attempts int      // lease grants so far (= audit-log attempt numbers)
 	leases   []*lease // active leases, oldest first
+	lastErr  string   // the most recent failed attempt's cause
 }
 
 type lease struct {
@@ -256,8 +259,7 @@ func (s *Server) Lease(worker string) (*LeaseGrant, error) {
 					continue
 				}
 				if sh.attempts >= s.opts.MaxAttempts {
-					g.failed = fmt.Sprintf("shard %d/%d exhausted %d lease attempts",
-						sh.plan.Index, sh.plan.Count, sh.attempts)
+					g.failed = exhausted(sh)
 					break
 				}
 				return s.grantLocked(now, c, g, sh, worker, false), nil
@@ -382,7 +384,7 @@ func (s *Server) Complete(leaseID string, env *sweep.ShardResult) (duplicate boo
 		return true, nil
 	}
 	if err := dispatch.CheckEnvelope(env, sh.plan); err != nil {
-		s.logAttemptLocked(l, err)
+		s.endAttemptLocked(l, err)
 		s.releaseLocked(l)
 		s.maybeFailLocked(g, sh)
 		return false, err
@@ -390,7 +392,7 @@ func (s *Server) Complete(leaseID string, env *sweep.ShardResult) (duplicate boo
 
 	sh.env = env
 	sh.done = true
-	s.logAttemptLocked(l, nil)
+	s.endAttemptLocked(l, nil)
 	if st := s.opts.Store; st != nil {
 		if err := st.Save(env); err != nil && g.storeErr == "" {
 			g.storeErr = err.Error()
@@ -419,7 +421,7 @@ func (s *Server) Fail(leaseID string, cause string) error {
 	if cause == "" {
 		cause = "worker reported failure"
 	}
-	s.logAttemptLocked(l, errors.New(cause))
+	s.endAttemptLocked(l, errors.New(cause))
 	s.releaseLocked(l)
 	s.maybeFailLocked(l.g, l.s)
 	return nil
@@ -448,7 +450,7 @@ func (s *Server) expireLocked(now time.Time) {
 					// failed attempt — the shard succeeded; keep the audit
 					// log clean.
 					if !sh.done {
-						s.logAttemptLocked(l, errors.New("lease expired"))
+						s.endAttemptLocked(l, errors.New("lease expired"))
 					}
 				}
 				sh.leases = kept
@@ -475,18 +477,32 @@ func (s *Server) releaseLocked(l *lease) {
 // grid surfaces the terminal state immediately.
 func (s *Server) maybeFailLocked(g *gridState, sh *shardState) {
 	if g.failed == "" && !sh.done && len(sh.leases) == 0 && sh.attempts >= s.opts.MaxAttempts {
-		g.failed = fmt.Sprintf("shard %d/%d exhausted %d lease attempts",
-			sh.plan.Index, sh.plan.Count, sh.attempts)
+		g.failed = exhausted(sh)
 	}
 }
 
-// logAttemptLocked appends a worker-tagged line to the store's attempt log
-// (best-effort: the audit trail must not take the service down).
-func (s *Server) logAttemptLocked(l *lease, outcome error) {
+// exhausted is the failure text of a grid whose shard ran out of attempts:
+// the cap and, when known, the last attempt's cause.
+func exhausted(sh *shardState) string {
+	msg := fmt.Sprintf("shard %d/%d failed after %d attempts", sh.plan.Index, sh.plan.Count, sh.attempts)
+	if sh.lastErr != "" {
+		msg += ": " + sh.lastErr
+	}
+	return msg
+}
+
+// endAttemptLocked records how a lease's attempt ended: a failure becomes
+// the shard's last cause, and a worker-tagged line goes to the store's
+// attempt log (best-effort: the audit trail must not take the service
+// down).
+func (s *Server) endAttemptLocked(l *lease, outcome error) {
+	if outcome != nil {
+		l.s.lastErr = outcome.Error()
+	}
 	if s.opts.Store == nil {
 		return
 	}
-	_ = s.opts.Store.LogAttemptAs(l.g.fingerprint, l.s.plan.Index, l.s.plan.Count, l.attempt, l.worker, outcome)
+	_ = s.opts.Store.LogAttempt(l.g.fingerprint, l.s.plan.Index, l.s.plan.Count, l.attempt, l.worker, outcome)
 }
 
 // observeLocked feeds one completed lease's wall clock into the per-trial
@@ -636,12 +652,25 @@ func (s *Server) statusLocked(c *campaignState) *CampaignStatus {
 // in flight. The returned done/total counts let callers label partial
 // output.
 func (s *Server) Results(campaignID, gridID, format string) (out string, done, total int, err error) {
+	res, done, total, err := s.merged(campaignID, gridID)
+	if err != nil {
+		return "", done, total, err
+	}
+	rendered, err := res.Render(format)
+	if err != nil {
+		return "", 0, 0, err
+	}
+	return rendered, done, total, nil
+}
+
+// merged merges one grid's completed shards (see Results).
+func (s *Server) merged(campaignID, gridID string) (res *sweep.Result, done, total int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked(s.opts.Clock.Now())
 	c, ok := s.byID[campaignID]
 	if !ok {
-		return "", 0, 0, fmt.Errorf("%w: campaign %q", ErrNotFound, campaignID)
+		return nil, 0, 0, fmt.Errorf("%w: campaign %q", ErrNotFound, campaignID)
 	}
 	var g *gridState
 	for _, cand := range c.grids {
@@ -651,7 +680,7 @@ func (s *Server) Results(campaignID, gridID, format string) (out string, done, t
 		}
 	}
 	if g == nil {
-		return "", 0, 0, fmt.Errorf("%w: grid %q in campaign %q", ErrNotFound, gridID, campaignID)
+		return nil, 0, 0, fmt.Errorf("%w: grid %q in campaign %q", ErrNotFound, gridID, campaignID)
 	}
 	var envs []*sweep.ShardResult
 	for _, sh := range g.shards {
@@ -660,20 +689,15 @@ func (s *Server) Results(campaignID, gridID, format string) (out string, done, t
 		}
 	}
 	if len(envs) == 0 {
-		return "", 0, len(g.shards), ErrNoResults
+		return nil, 0, len(g.shards), ErrNoResults
 	}
-	var res *sweep.Result
 	if len(envs) == len(g.shards) {
 		res, err = sweep.Merge(envs...)
 	} else {
 		res, err = sweep.MergePartial(envs...)
 	}
 	if err != nil {
-		return "", 0, 0, err
+		return nil, 0, 0, err
 	}
-	rendered, err := res.Render(format)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	return rendered, len(envs), len(g.shards), nil
+	return res, len(envs), len(g.shards), nil
 }

@@ -369,15 +369,32 @@ func TestAutotunePicksShardCountFromObservedWallClock(t *testing.T) {
 	_ = id2
 }
 
+// seedStore persists every envelope of doc's shards-way plan, as a
+// finished earlier run would have left the store, and returns the plan.
+func seedStore(t *testing.T, store *dispatch.RunStore, doc sweep.SpecDoc, shards int) []dispatch.ShardPlan {
+	t.Helper()
+	plans, _, err := dispatch.PlanShards(doc, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range plans {
+		env, err := dispatch.Local{}.Run(t.Context(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Save(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return plans
+}
+
 func TestStoreResumeCompletesPlannedShards(t *testing.T) {
 	doc := testDoc(t)
 	store := &dispatch.RunStore{Dir: t.TempDir()}
 
-	// A driver run persists all three envelopes...
-	d := &dispatch.Driver{Exec: dispatch.Local{}, Store: store, BackoffBase: -1}
-	if _, err := d.Run(t.Context(), doc, 3); err != nil {
-		t.Fatal(err)
-	}
+	// An earlier run persisted all three envelopes...
+	seedStore(t, store, doc, 3)
 
 	// ...so a campaign over the same store finds every shard done at
 	// planning time and has nothing to lease.
@@ -398,14 +415,7 @@ func TestStoreResumeCompletesPlannedShards(t *testing.T) {
 func TestStoreResumeSkipsCorruptEnvelope(t *testing.T) {
 	doc := testDoc(t)
 	store := &dispatch.RunStore{Dir: t.TempDir()}
-	d := &dispatch.Driver{Exec: dispatch.Local{}, Store: store, BackoffBase: -1}
-	if _, err := d.Run(t.Context(), doc, 2); err != nil {
-		t.Fatal(err)
-	}
-	plans, _, err := dispatch.PlanShards(doc, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plans := seedStore(t, store, doc, 2)
 	// Corrupt shard 0 as a torn write would: keep half the bytes.
 	data, err := os.ReadFile(store.Path(plans[0]))
 	if err != nil {
@@ -473,7 +483,8 @@ func TestSubmitRejectsBadManifests(t *testing.T) {
 		{Grids: []ManifestGrid{{ID: "UPPER", Spec: testDoc(t)}}},
 		{Grids: []ManifestGrid{{ID: "a", Spec: testDoc(t)}, {ID: "a", Spec: testDoc(t)}}},
 		{Grids: []ManifestGrid{{ID: "a", Spec: testDoc(t), Shards: -1}}},
-		{Grids: []ManifestGrid{{ID: "a", Spec: sweep.SpecDoc{}}}}, // unresolvable
+		{Grids: []ManifestGrid{{ID: "a", Spec: testDoc(t), Shards: 1<<16 + 1}}}, // planned up front: must be bounded
+		{Grids: []ManifestGrid{{ID: "a", Spec: sweep.SpecDoc{}}}},               // unresolvable
 	}
 	for i, m := range bad {
 		if _, err := s.Submit(m); err == nil {
@@ -492,4 +503,44 @@ func TestParseManifestStrict(t *testing.T) {
 	if _, err := ParseManifest([]byte(`{"grids": [{"id": "g", "spec": {"name":"x","cases":["wakeupc"],"patterns":["simultaneous"],"ns":[32],"ks":[2],"trials":1,"seed":1}}]} trailing`)); err == nil {
 		t.Fatal("trailing data accepted")
 	}
+}
+
+// FuzzParseManifest asserts that a manifest read from outside the process
+// is rejected or served, never panics: parse, submit, lease and report
+// status.
+func FuzzParseManifest(f *testing.F) {
+	f.Add([]byte(`{"name":"x","grids":[{"id":"g","spec":{"name":"x","cases":["wakeupc"],"patterns":["simultaneous"],"ns":[32],"ks":[2],"trials":3,"seed":1},"shards":2}]}`))
+	f.Add([]byte(`{"grids":[{"id":"a","spec":{"cases":["roundrobin"],"patterns":["staggered:3"],"channels":["noisy:0.1"],"ns":[16],"ks":[4],"trials":1}},
+		{"id":"b-2","spec":{"cases":["tree_cd"],"patterns":["uniform"],"ns":[8],"ks":[9],"trials":2},"shards":5}]}`))
+	f.Add([]byte(`{"grids":[{"id":"g","spec":{"cases":["wakeupc"],"patterns":["simultaneous"],"ns":[32],"ks":[2],"trials":1},"shards":65537}]}`))
+	f.Add([]byte(`{"grids":[]}`))
+	f.Add([]byte(`{"grids":[{"id":"UP","spec":{}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseManifest(data)
+		if err != nil {
+			return
+		}
+		// Skip grids whose cross product would only burn fuzz time: the
+		// fuzzer happily writes million-cell grids, which are legitimate
+		// (and slow) to plan.
+		for _, g := range m.Grids {
+			d := g.Spec
+			if max(len(d.Channels), 1)*len(d.Cases)*len(d.Patterns)*len(d.Ns)*len(d.Ks) > 1<<10 {
+				return
+			}
+		}
+		s, _ := newTestServer(t, Options{})
+		id, err := s.Submit(m)
+		if err != nil {
+			return
+		}
+		for range 3 {
+			if _, err := s.Lease("fuzz"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Status(id); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -7,14 +7,31 @@ import (
 	"time"
 
 	"nsmac/internal/dispatch"
+	"nsmac/internal/sweep"
 )
+
+// LeaseClient is a worker's view of the campaign server: the four calls of
+// the lease protocol. *Client speaks them over HTTP; Server.Run's workers
+// call the server directly.
+type LeaseClient interface {
+	// Lease asks for one shard of work; no work available is (nil, nil).
+	Lease(ctx context.Context, worker string) (*LeaseGrant, error)
+	// Heartbeat renews a lease; ErrLeaseLost means abandon the shard.
+	Heartbeat(ctx context.Context, leaseID string) error
+	// Complete uploads a lease's envelope; duplicate reports a lost steal
+	// race.
+	Complete(ctx context.Context, leaseID string, env *sweep.ShardResult) (duplicate bool, err error)
+	// Fail reports a failed attempt so the shard requeues immediately.
+	Fail(ctx context.Context, leaseID string, cause error) error
+}
 
 // WorkerEvent is one machine-readable progress record a Worker emits
 // through its OnEvent hook — the payload behind `wakeup-bench work
 // -progress json`.
 type WorkerEvent struct {
 	// Event is the record kind: "lease", "heartbeat_lost", "complete",
-	// "duplicate", "fail", "idle", "exit".
+	// "duplicate", "fail", "idle", "exit" — plus "cached" from Server.Run
+	// for a shard the store already held.
 	Event string `json:"event"`
 	// Worker is the worker's self-assigned identity.
 	Worker string `json:"worker"`
@@ -41,7 +58,7 @@ type WorkerEvent struct {
 // polling politely when the queue is empty.
 type Worker struct {
 	// Client speaks to the campaign server (required).
-	Client *Client
+	Client LeaseClient
 	// ID identifies this worker in leases and the attempt log.
 	ID string
 	// Exec runs leased shards; nil uses dispatch.Local{}.
@@ -193,7 +210,8 @@ func (w *Worker) runLease(ctx context.Context, exec dispatch.Executor, grant *Le
 		w.emit(WorkerEvent{
 			Event: "fail", Worker: w.ID, Lease: grant.LeaseID,
 			Campaign: grant.Campaign, Grid: grant.Grid,
-			Shard: grant.Shard, Shards: grant.Shards, Error: err.Error(),
+			Shard: grant.Shard, Shards: grant.Shards,
+			Attempt: grant.Attempt, Error: err.Error(),
 		})
 	case dup:
 		w.emit(WorkerEvent{

@@ -1,11 +1,11 @@
-// Package dispatch is the distributed half of the sweep orchestrator: it
-// takes a serializable grid document (sweep.SpecDoc), cuts it into the
-// trial-striped shard plan, hands each shard to a pluggable Executor — in
-// this process, in a subprocess, or through an arbitrary user command such
-// as ssh or kubectl — and reassembles the shard envelopes with sweep.Merge,
-// whose text/CSV/JSON render is byte-identical to the single-process run.
+// Package dispatch is the worker-side half of distributed sweeps: it takes
+// a serializable grid document (sweep.SpecDoc), cuts it into the
+// trial-striped shard plan, and runs a shard through a pluggable Executor —
+// in this process, in a subprocess, or through an arbitrary user command
+// such as ssh or kubectl. The envelopes reassemble with sweep.Merge, whose
+// text/CSV/JSON render is byte-identical to the single-process run.
 //
-// Three layers:
+// Two layers:
 //
 //   - Executor runs ONE shard of a plan and returns its envelope. Local
 //     executes Spec.Shard in-process under a worker budget; Subprocess execs
@@ -19,9 +19,9 @@
 //     by fingerprint + plan coordinates and re-run only the missing or
 //     corrupt ones.
 //
-//   - Driver runs the whole plan: bounded shard concurrency, per-shard
-//     attempt caps, progress callbacks, context cancellation, and optional
-//     resume from a RunStore.
+// Scheduling a whole plan — leases, retries, attempt caps, resume from a
+// RunStore, progress events — belongs to internal/campaign, whose server
+// runs `wakeup-bench run` in-process and `serve`/`work` over HTTP.
 //
 // Every envelope that crosses a process boundary is validated before it is
 // trusted: internal consistency (ShardResult.Validate, which includes the
@@ -61,8 +61,8 @@ type ShardPlan struct {
 
 // PlanShards resolves the document and returns the full shard plan — one
 // ShardPlan per shard — plus the human-readable skip lines for every dropped
-// cell combination. It is the single place the driver and the CLIs turn a
-// document into dispatchable work.
+// cell combination. It is the single place the campaign server and the CLIs
+// turn a document into dispatchable work.
 func PlanShards(doc sweep.SpecDoc, count int) ([]ShardPlan, []string, error) {
 	if count < 1 {
 		return nil, nil, fmt.Errorf("dispatch: shard count %d, want >= 1", count)
@@ -117,18 +117,18 @@ func CheckEnvelope(r *sweep.ShardResult, plan ShardPlan) error {
 // must honor ctx where they can (Subprocess and Command kill the child;
 // Local only checks for cancellation before starting, since an in-process
 // grid is not abortable mid-trial) and must return an envelope whose
-// fingerprint and coordinates match the plan — the driver re-validates
-// either way.
+// fingerprint and coordinates match the plan — the campaign worker and
+// server re-validate either way.
 type Executor interface {
 	Run(ctx context.Context, plan ShardPlan) (*sweep.ShardResult, error)
 }
 
 // Local executes shards in-process via Spec.Shard, bounded by a worker
-// budget. It is the zero-dependency executor the driver defaults to.
+// budget. It is the zero-dependency executor campaign workers default to.
 type Local struct {
 	// Workers bounds the trial worker pool per shard (<= 0 selects
-	// GOMAXPROCS). With driver Concurrency > 1, the budgets multiply —
-	// Concurrency shards × Workers goroutines each.
+	// GOMAXPROCS). With several shards in flight (`run -concurrency`), the
+	// budgets multiply — shards in flight × Workers goroutines each.
 	Workers int
 	// Batch caps trials per work item (<= 0 selects the grid default).
 	Batch int

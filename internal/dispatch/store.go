@@ -126,18 +126,12 @@ func (s RunStore) Load(plan ShardPlan) (*sweep.ShardResult, error) {
 }
 
 // LogAttempt appends one line to the grid's attempt log: which shard was
-// dispatched, which attempt it was, and how it ended. The log is an audit
-// trail for humans and tests (a resumed run shows attempts only for the
-// shards it actually re-ran); the envelopes alone carry the results.
-func (s RunStore) LogAttempt(fp string, index, count, attempt int, outcome error) error {
-	return s.LogAttemptAs(fp, index, count, attempt, "", outcome)
-}
-
-// LogAttemptAs is LogAttempt with the dispatching identity attached — the
-// lease-aware form the campaign server uses, so the audit trail shows which
-// worker held each lease on a shard (an empty worker writes the classic
-// untagged line the single-driver path emits).
-func (s RunStore) LogAttemptAs(fp string, index, count, attempt int, worker string, outcome error) error {
+// leased, which attempt it was, which worker held it, and how it ended. The
+// log is an audit trail for humans and tests (a resumed run shows attempts
+// only for the shards it actually re-ran); the envelopes alone carry the
+// results. An empty worker writes an untagged line, as `wakeup-bench run`'s
+// anonymous in-process workers do.
+func (s RunStore) LogAttempt(fp string, index, count, attempt int, worker string, outcome error) error {
 	dir := filepath.Join(s.Dir, fp)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -175,9 +169,9 @@ func (s RunStore) AttemptLog(fp string) ([]byte, error) {
 type Attempt struct {
 	// Shard and Shards are the plan coordinates the attempt dispatched.
 	Shard, Shards int
-	// Attempt is the 1-based attempt (driver) or lease (campaign) number.
+	// Attempt is the 1-based lease number of the attempt on its shard.
 	Attempt int
-	// Worker is the dispatching identity, empty for untagged driver lines.
+	// Worker is the dispatching identity, empty for untagged lines.
 	Worker string
 	// OK reports a successful attempt; Detail carries the error text
 	// otherwise.

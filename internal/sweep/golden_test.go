@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"nsmac/internal/campaign"
+	"nsmac/internal/dispatch"
 	"nsmac/internal/sweep"
 )
 
@@ -76,6 +78,93 @@ func TestGoldenAdaptive(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("DisableKernel=%v: JSON differs from %s", disable, path)
+		}
+	}
+}
+
+// goldenRegistryDoc spans the registries: round-robin, selector-based,
+// randomized and adaptive algorithm entries, black-box and white-box wake
+// patterns, and every channel model.
+const goldenRegistryDoc = `{
+	"name": "golden-registry",
+	"cases": ["roundrobin", "wakeup_with_k", "wakeupc", "rpd", "localssf", "tree_cd", "kg"],
+	"patterns": ["staggered:3", "uniform:16", "spoiler"],
+	"channels": ["none", "cd", "sender_cd", "ack", "noisy:0.1", "jam:2"],
+	"ns": [32], "ks": [4], "trials": 5, "seed": 20130527
+}`
+
+// TestGoldenRegistry pins goldenRegistryDoc's text, CSV and JSON renders to
+// checked-in files and holds every route through a grid to them: the
+// one-process run, a 3-shard Shard→Merge through the envelope codec, and
+// the in-process campaign run behind `wakeup-bench run`. Regenerate with
+//
+//	go test ./internal/sweep -run TestGoldenRegistry -update
+//
+// only when an output change is intended.
+func TestGoldenRegistry(t *testing.T) {
+	doc, err := sweep.ParseSpecDoc([]byte(goldenRegistryDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := doc.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := spec.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := make([]*sweep.ShardResult, 3)
+	for i := range envs {
+		sr, err := spec.Shard(i, len(envs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := sr.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if envs[i], err = sweep.DecodeShardResult(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged, err := sweep.Merge(envs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := campaign.NewServer(campaign.Options{MaxAttempts: 1, MaxLeases: 1})
+	run, err := srv.Run(t.Context(), doc, 3, 3, dispatch.Local{Workers: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	routes := []struct {
+		name string
+		res  *sweep.Result
+	}{{"one-process", whole}, {"3-shard merge", merged}, {"in-process run", run}}
+	for _, f := range [][2]string{{"text", "txt"}, {"csv", "csv"}, {"json", "json"}} {
+		format, path := f[0], filepath.Join("testdata", "golden", "registry."+f[1])
+		if *update {
+			out, err := whole.Render(format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		for _, r := range routes {
+			got, err := r.res.Render(format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%s: %s render differs from %s", r.name, format, path)
+			}
 		}
 	}
 }

@@ -150,9 +150,10 @@ func DecodeShardResult(data []byte) (*ShardResult, error) {
 }
 
 // Validate checks the envelope's internal consistency: legal plan
-// coordinates, a non-empty fingerprint, and per-cell wire aggregates that
-// pass the stats integrity check and carry exactly the trial count the
-// striped plan assigns this shard. It does not (and cannot) prove the cells
+// coordinates, a non-empty fingerprint, one label per axis on every cell
+// (as Grid.Validate demands), and per-cell wire aggregates that pass the
+// stats integrity check and carry exactly the trial count the striped plan
+// assigns this shard. It does not (and cannot) prove the cells
 // were computed by the right grid — that is what the fingerprint comparison
 // in Merge and the dispatch driver is for.
 func (r *ShardResult) Validate() error {
@@ -170,6 +171,9 @@ func (r *ShardResult) Validate() error {
 	}
 	want := ShardTrials(r.Trials, r.Shard, r.Shards)
 	for i, c := range r.Cells {
+		if len(c.Cell) != len(r.Axes) {
+			return fmt.Errorf("sweep: shard %d cell %d has %d labels for %d axes", r.Shard, i, len(c.Cell), len(r.Axes))
+		}
 		if err := c.Agg.Validate(); err != nil {
 			return fmt.Errorf("sweep: shard %d cell %d: %w", r.Shard, i, err)
 		}

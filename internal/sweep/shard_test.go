@@ -298,6 +298,11 @@ func TestDecodeShardResultErrors(t *testing.T) {
 		// of 3 out of 4 (namely 1).
 		`{"fingerprint":"x","name":"g","axes":["k"],"shard":1,"shards":3,"trials":4,"cells":[
 			{"cell":["2"],"agg":{"trials":2,"successes":2,"rounds":[1,2],"collisions":0,"silences":0,"transmissions":2,"listens":0}}]}`,
+		// Cells whose label count differs from the axis count would render
+		// misaligned rows (or panic the text renderer).
+		`{"fingerprint":"0","shards":1,"trials":1,"cells":[{"cell":[""],"agg":{"trials":1,"rounds":[0]}}]}`,
+		`{"fingerprint":"x","name":"g","axes":["n","k"],"shard":0,"shards":1,"trials":1,"cells":[
+			{"cell":["2"],"agg":{"trials":1,"successes":1,"rounds":[1],"collisions":0,"silences":0,"transmissions":1,"listens":0}}]}`,
 		// A cell whose sample count disagrees with its own trial counter
 		// (the stats wire integrity check).
 		`{"fingerprint":"x","name":"g","axes":["k"],"shard":1,"shards":3,"trials":4,"cells":[
@@ -515,4 +520,56 @@ func TestMergePartialValidation(t *testing.T) {
 	if _, err := sweep.MergePartial(wide[0], wide[4]); err != nil {
 		t.Errorf("mixed subset rejected: %v", err)
 	}
+}
+
+// FuzzDecodeShardResult asserts that an envelope read from outside the
+// process is rejected or rendered, never panics: decode, merge it alone
+// (full and partial), and render every format.
+func FuzzDecodeShardResult(f *testing.F) {
+	// Real envelopes of a small grid with a channel axis (the energy
+	// column); large seeds slow the mutator to a crawl.
+	doc, err := sweep.ParseSpecDoc([]byte(`{"name":"fuzz","cases":["wakeupc"],"patterns":["staggered:3"],
+		"channels":["noisy:0.1"],"ns":[16],"ks":[2,4],"trials":3,"seed":7}`))
+	if err != nil {
+		f.Fatal(err)
+	}
+	spec, err := doc.Resolve()
+	if err != nil {
+		f.Fatal(err)
+	}
+	g, err := spec.Grid()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, plan := range [][2]int{{0, 1}, {1, 3}, {4, 5}} {
+		sr, err := g.RunShard(plan[0], plan[1])
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := sr.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// A cell with fewer labels than axes once panicked the text renderer.
+	f.Add([]byte(`{"fingerprint":"0","shards":1,"trials":1,"cells":[{"cell":[""],"agg":{"trials":1,"rounds":[0]}}]}`))
+	f.Add([]byte(`{"fingerprint":"x","name":"g","axes":["channel"],"shard":0,"shards":1,"trials":1,"cells":[
+		{"cell":["none"],"agg":{"trials":1,"successes":1,"rounds":[1e308],"collisions":9223372036854775807,"silences":0,"transmissions":9223372036854775807,"listens":9223372036854775807}}]}`))
+	f.Add([]byte(`{"fingerprint":"x","axes":[],"shard":0,"shards":2,"trials":1,"cells":[{"cell":[],"agg":{"trials":1,"rounds":[-1]}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := sweep.DecodeShardResult(data)
+		if err != nil {
+			return
+		}
+		for _, merge := range []func(...*sweep.ShardResult) (*sweep.Result, error){sweep.Merge, sweep.MergePartial} {
+			res, err := merge(r)
+			if err != nil {
+				continue
+			}
+			for _, format := range []string{"text", "csv", "json"} {
+				_, _ = res.Render(format)
+			}
+		}
+	})
 }

@@ -26,7 +26,8 @@ import (
 //	_ = w.Run(ctx)
 //
 // The same machinery backs `wakeup-bench serve`, `submit`, `status` and
-// `work`.
+// `work`; CampaignServer.Run drains a grid with in-process workers that
+// call the server directly, which is `wakeup-bench run`.
 type (
 	// CampaignManifest is the campaign submission document: named grids
 	// (full spec documents) with optional fixed shard counts.

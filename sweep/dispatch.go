@@ -6,25 +6,25 @@ import (
 	"nsmac/internal/dispatch"
 )
 
-// Distributed shard dispatch (aliases into nsmac/internal/dispatch): run a
-// spec document's trial-striped shard plan through a pluggable Executor —
-// in-process, one subprocess per shard, or an arbitrary command template
-// (ssh, kubectl) — persist the envelopes in a resumable RunStore, and merge
-// to output byte-identical to the single-process run.
+// Distributed shard dispatch (aliases into nsmac/internal/dispatch): the
+// worker-side plug that runs one shard of a spec document's trial-striped
+// plan — in-process, one subprocess per shard, or an arbitrary command
+// template (ssh, kubectl) — and the resumable RunStore that persists the
+// envelopes. Scheduling the whole plan is the campaign server's job (see
+// campaign.go); CampaignServer.Run drives it in-process:
 //
 //	doc, _ := sweep.ParseSpecDoc(data)
-//	store := &sweep.RunStore{Dir: "runs"}
-//	d := &sweep.Driver{
-//	    Exec:        sweep.Subprocess{Binary: "./wakeup-bench"},
-//	    Store:       store,
-//	    Resume:      true, // re-run only missing or corrupt shards
-//	    Concurrency: 3,
-//	}
-//	res, _ := d.Run(ctx, doc, 8)   // 8-shard plan
-//	fmt.Print(res.Text())          // == the one-process run, byte for byte
+//	srv := sweep.NewCampaignServer(sweep.CampaignOptions{
+//	    Store:       &sweep.RunStore{Dir: "runs"}, // stored shards never re-run
+//	    MaxAttempts: 3,
+//	    MaxLeases:   1, // no steal leases: each shard runs once
+//	})
+//	exec := sweep.Subprocess{Binary: "./wakeup-bench"}
+//	res, _ := srv.Run(ctx, doc, 8, 3, exec, nil) // 8 shards, 3 in flight
+//	fmt.Print(res.Text()) // == the one-process run, byte for byte
 //
 // The same machinery backs `wakeup-bench run -spec grid.json -shards m
-// -exec ... -store dir -resume`.
+// -exec ... -store dir`.
 type (
 	// Executor runs one shard of a plan and returns its envelope.
 	Executor = dispatch.Executor
@@ -43,22 +43,6 @@ type (
 	// <dir>/<grid-fingerprint>/<i>-of-<m>.json with atomic writes, making
 	// runs resumable.
 	RunStore = dispatch.RunStore
-	// Driver executes a full shard plan: bounded concurrency, per-shard
-	// attempt caps, progress callbacks, resume, context cancellation.
-	Driver = dispatch.Driver
-	// Event is one driver progress notification.
-	Event = dispatch.Event
-	// EventState classifies a driver progress event.
-	EventState = dispatch.EventState
-)
-
-// Driver progress event states.
-const (
-	EventCached = dispatch.EventCached
-	EventStart  = dispatch.EventStart
-	EventDone   = dispatch.EventDone
-	EventRetry  = dispatch.EventRetry
-	EventFailed = dispatch.EventFailed
 )
 
 // PlanShards resolves the document and returns its count-shard plan plus
