@@ -63,10 +63,7 @@ func SpoilerVs(algo model.Algorithm, p model.Params, k int, horizon int64, first
 	if firstID < 1 || firstID > n {
 		panic("adversary: Spoiler firstID out of range")
 	}
-	if ch == nil {
-		ch = model.None()
-	}
-	perturb, _ := ch.(model.SlotPerturber)
+	perturb, _ := model.OrNone(ch).(model.SlotPerturber)
 	var cs model.ChannelState
 	cs.Reset(rng.Derive(p.Seed, model.ChannelStream))
 

@@ -1,9 +1,12 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -281,4 +284,78 @@ func TestClientSentinelErrorMapping(t *testing.T) {
 	if _, err := cl.Submit(t.Context(), Manifest{}); err == nil {
 		t.Error("empty manifest accepted over HTTP")
 	}
+}
+
+// leasedServer returns a fake-clock server holding one live lease on a
+// one-shard campaign, with the campaign ID and the grant.
+func leasedServer(t testing.TB) (*Server, string, *LeaseGrant) {
+	t.Helper()
+	doc, err := sweep.ParseSpecDoc([]byte(`{"cases":["roundrobin"],"patterns":["staggered:3"],"ns":[16],"ks":[2],"trials":2,"seed":5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, Options{})
+	id, err := s.Submit(SingleGrid("fuzz", "g", doc, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := s.Lease("fuzz")
+	if err != nil || grant == nil {
+		t.Fatalf("lease: %v %v", grant, err)
+	}
+	return s, id, grant
+}
+
+// FuzzLeaseBodies sends arbitrary bytes through Handler as the body of
+// POST /v1/lease/{id}/complete and /fail on a server holding one live lease.
+// The handler must never panic or answer 5xx, and a body its decoder
+// rejects must be answered 400 with the campaign Status unchanged.
+func FuzzLeaseBodies(f *testing.F) {
+	_, _, grant := leasedServer(f)
+	env, err := runGrant(f, grant).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(env)
+	f.Add(env[:len(env)/2])
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"error":"executor crashed"}`))
+	f.Add([]byte(`{"error":7}`))
+	f.Add([]byte{})
+	f.Add([]byte("\x00not json"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, op := range []string{"complete", "fail"} {
+			s, id, grant := leasedServer(t)
+			before, err := s.Status(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest("POST", "/v1/lease/"+grant.LeaseID+"/"+op, bytes.NewReader(body))
+			Handler(s).ServeHTTP(rec, req)
+			if rec.Code >= 500 {
+				t.Fatalf("%s: status %d: %s", op, rec.Code, rec.Body)
+			}
+			var rejected bool
+			if op == "complete" {
+				_, err := sweep.DecodeShardResult(body)
+				rejected = err != nil
+			} else {
+				rejected = len(body) > 0 && json.Unmarshal(body, &failRequest{}) != nil
+			}
+			if !rejected {
+				continue
+			}
+			if rec.Code != 400 {
+				t.Fatalf("%s: undecodable body answered %d, want 400", op, rec.Code)
+			}
+			after, err := s.Status(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(before, after) {
+				t.Fatalf("%s: rejected body changed Status:\nbefore %+v\nafter  %+v", op, before, after)
+			}
+		}
+	})
 }

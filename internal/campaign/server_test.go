@@ -52,7 +52,7 @@ func testDoc(t *testing.T) sweep.SpecDoc {
 
 // newTestServer builds a server on a fake clock with small, test-friendly
 // limits.
-func newTestServer(t *testing.T, opts Options) (*Server, *fakeClock) {
+func newTestServer(t testing.TB, opts Options) (*Server, *fakeClock) {
 	t.Helper()
 	clk := newFakeClock()
 	opts.Clock = clk
@@ -73,7 +73,7 @@ func submitOne(t *testing.T, s *Server, doc sweep.SpecDoc, shards int) string {
 }
 
 // runGrant executes a grant's shard in-process and returns its envelope.
-func runGrant(t *testing.T, grant *LeaseGrant) *sweep.ShardResult {
+func runGrant(t testing.TB, grant *LeaseGrant) *sweep.ShardResult {
 	t.Helper()
 	spec, err := grant.Doc.Resolve()
 	if err != nil {

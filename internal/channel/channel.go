@@ -80,11 +80,8 @@ func New(m model.ChannelModel, record bool) *Channel {
 // seed keys the model's perturbation stream (the engine derives it from the
 // run seed via model.ChannelStream).
 func (c *Channel) Reset(m model.ChannelModel, record bool, seed uint64) {
-	if m == nil {
-		m = model.None()
-	}
-	c.model = m
-	c.perturb, _ = m.(model.SlotPerturber)
+	c.model = model.OrNone(m)
+	c.perturb, _ = c.model.(model.SlotPerturber)
 	c.state.Reset(seed)
 	c.record = record
 	c.trace = c.trace[:0]
@@ -143,14 +140,6 @@ func (c *Channel) Resolve(slot int64, transmitters []int) (model.Feedback, int) 
 // whether it transmitted, and whether it was the successful transmitter.
 func (c *Channel) Deliver(truth model.Feedback, transmitted, won bool) model.Feedback {
 	return c.model.Deliver(truth, transmitted, won)
-}
-
-// Observed maps a slot outcome to what a pure listener hears.
-//
-// Deprecated: use Deliver, which carries the station's role — required for
-// the sender_cd and ack regimes.
-func (c *Channel) Observed(truth model.Feedback) model.Feedback {
-	return c.model.Deliver(truth, false, false)
 }
 
 // Trace returns the recorded transcript (empty unless recording was

@@ -254,11 +254,7 @@ func classify(algo model.Algorithm, opt sim.Options) (execMode, model.ScheduleCl
 		// The kernel never materializes per-slot events.
 		return modeOblivious, model.ScheduleClass{}, false
 	}
-	ch := opt.Channel
-	if ch == nil {
-		//nsmac:deprecated-ok the nil-Channel fallback is the enum's audited resolution site
-		ch = opt.Feedback.Model()
-	}
+	ch := model.OrNone(opt.Channel)
 	perturbing := false
 	if _, ok := ch.(model.SlotPerturber); ok {
 		// A perturbing channel rewrites slot outcomes from its own RNG
@@ -340,11 +336,7 @@ func (k *Kernel) Reset(algo model.Algorithm, p model.Params, w model.WakePattern
 	// Channel overlay: resolve the cell's model to its declared perturbation
 	// shape (PerturbNone on inert channels) and position the derived channel
 	// stream exactly where the engine's ChannelState starts.
-	ch := opt.Channel
-	if ch == nil {
-		//nsmac:deprecated-ok the nil-Channel fallback is the enum's audited resolution site
-		ch = opt.Feedback.Model()
-	}
+	ch := model.OrNone(opt.Channel)
 	k.perturb = model.PerturbSpec{}
 	if kp, ok := ch.(model.KernelPerturber); ok {
 		k.perturb = kp.PerturbSpec()

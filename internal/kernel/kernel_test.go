@@ -147,6 +147,70 @@ func TestKernelMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestNilChannelIsNone pins the Options.Channel contract on every executor:
+// a nil channel runs exactly as the paper's model.None on the engine, the
+// memo kernel (roundrobin) and the epoch kernel (tree_cd, kg). Under CD,
+// tree_cd's result changes, so a nil resolving to any other model shows.
+func TestNilChannelIsNone(t *testing.T) {
+	type executor interface {
+		Reset(model.Algorithm, model.Params, model.WakePattern, sim.Options) error
+		Run() model.Result
+	}
+	treeCD, kg := adaptiveRoster()[0], adaptiveRoster()[1]
+	roundRobin := adaptiveEntry{
+		name:    "roundrobin",
+		algo:    func(n, k int) model.Algorithm { return core.NewRoundRobin() },
+		params:  func(n, k int, seed uint64) model.Params { return model.Params{N: n, S: -1, Seed: seed} },
+		horizon: func(n, k int) int64 { return core.RoundRobin{}.Horizon(n, k) },
+	}
+	cases := []struct {
+		name     string
+		exec     executor
+		entry    adaptiveEntry
+		adaptive bool
+	}{
+		{"engine", sim.NewEngine(), treeCD, true},
+		{"memo-kernel", kernel.New(), roundRobin, false},
+		{"epoch-kernel", kernel.New(), treeCD, true},
+		{"epoch-kernel", kernel.New(), kg, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name+"/"+c.entry.name, func(t *testing.T) {
+			src := rng.New(rng.Derive(0x0111, model.ConfigString(c.name+c.entry.name)))
+			run := func(w model.WakePattern, p model.Params, opt sim.Options) model.Result {
+				if err := c.exec.Reset(c.entry.algo(p.N, w.K()), p, w, opt); err != nil {
+					t.Fatal(err)
+				}
+				return c.exec.Run()
+			}
+			cdDiffers := false
+			for round := 0; round < 20; round++ {
+				n := 2 + src.Intn(40)
+				k := 1 + src.Intn(n)
+				seed := src.Uint64()
+				// Odd rounds stagger the wakes.
+				spread := int64(1)
+				if round%2 == 1 {
+					spread += int64(src.Intn(50))
+				}
+				w := randomPattern(n, k, spread, seed)
+				p := c.entry.params(n, k, seed)
+				opt := sim.Options{Horizon: c.entry.horizon(n, k), Seed: seed, Adaptive: c.adaptive}
+				got := run(w, p, opt)
+				opt.Channel = model.None()
+				if want := run(w, p, opt); got != want {
+					t.Fatalf("round %d (n=%d k=%d seed=%#x): nil channel %+v, None %+v", round, n, k, seed, got, want)
+				}
+				opt.Channel = model.CD()
+				cdDiffers = cdDiffers || run(w, p, opt) != got
+			}
+			if c.entry.name == "tree_cd" && !cdDiffers {
+				t.Error("tree_cd never told CD from None: the comparison cannot detect a wrong nil resolution")
+			}
+		})
+	}
+}
+
 // TestKernelMidRunMatchesEngine locks the partial-horizon API: after
 // RunTo(u) for arbitrary u, (Result, Slot, Done) must match the engine's at
 // the same u — including the edge where u exceeds the horizon.

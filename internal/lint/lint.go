@@ -1,10 +1,10 @@
 // Package lint is the repository's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus the five analyzers that
+// vocabulary (Analyzer, Pass, Diagnostic) plus the four analyzers that
 // enforce the invariants every determinism guarantee in this tree rests on —
 // no wall clocks or global RNG in deterministic packages, derived RNG
-// streams only, canonical registry Refs, honest ScheduleClass Config
-// fingerprints, and no spread of the deprecated feedback-enum API.
+// streams only, canonical registry Refs, and honest ScheduleClass Config
+// fingerprints.
 //
 // The framework is stdlib-only (go/ast, go/types, go list) because the
 // toolchain image carries no module cache; the API mirrors go/analysis
@@ -19,7 +19,8 @@
 //
 // where <key> is the analyzer's suppression key (the determinism analyzer
 // uses "nondeterminism"; every other analyzer uses its own name) and
-// <reason> is mandatory — a bare suppression does not suppress.
+// <reason> is mandatory — a bare suppression does not suppress. A
+// suppression whose key names no analyzer in the suite is itself reported.
 package lint
 
 import (
@@ -92,6 +93,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type suppression struct {
 	key    string
 	reason string
+	pos    token.Pos
 }
 
 // suppressionIndex maps file line numbers to the suppressions declared on
@@ -127,7 +129,7 @@ func parseSuppressions(pkg *Package) suppressionIndex {
 					byLine = map[int]suppression{}
 					idx[pos.Filename] = byLine
 				}
-				byLine[pos.Line] = suppression{key: key, reason: reason}
+				byLine[pos.Line] = suppression{key: key, reason: reason, pos: c.Pos()}
 			}
 		}
 	}
@@ -157,10 +159,12 @@ func (idx suppressionIndex) filter(pkg *Package, a *Analyzer, d Diagnostic) (Dia
 }
 
 // RunAnalyzers runs the analyzers over one package and returns the surviving
-// diagnostics in file/position order.
+// diagnostics in file/position order. A suppression comment whose key names
+// no analyzer in the full suite is reported as orphaned, whichever analyzers
+// are selected: it suppresses nothing and outlived the check it audited.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	suppress := parseSuppressions(pkg)
-	var out []Diagnostic
+	out := orphanedSuppressions(suppress)
 	for _, a := range analyzers {
 		pass := &Pass{Analyzer: a, Pkg: pkg}
 		if err := a.Run(pass); err != nil {
@@ -188,6 +192,28 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return out, nil
 }
 
+// orphanedSuppressions reports every suppression whose key matches no
+// analyzer in All.
+func orphanedSuppressions(idx suppressionIndex) []Diagnostic {
+	keys := map[string]bool{}
+	for _, a := range All() {
+		keys[a.Suppress] = true
+	}
+	var out []Diagnostic
+	for _, byLine := range idx {
+		for _, s := range byLine {
+			if !keys[s.key] {
+				out = append(out, Diagnostic{
+					Analyzer: "suppression",
+					Pos:      s.pos,
+					Message:  fmt.Sprintf("orphaned //nsmac:%s-ok: no analyzer has the suppression key %q", s.key, s.key),
+				})
+			}
+		}
+	}
+	return out
+}
+
 // All returns the full analyzer suite in its canonical order.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -195,7 +221,6 @@ func All() []*Analyzer {
 		RNGStream,
 		RegistryRef,
 		ScheduleClass,
-		Deprecated,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nsmac/internal/lint"
+	"nsmac/internal/lint/linttest"
 )
 
 func TestByName(t *testing.T) {
@@ -66,4 +67,11 @@ func TestLoadRealPackages(t *testing.T) {
 			t.Errorf("%s: [%s] %s", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
 		}
 	}
+}
+
+// TestOrphanedSuppression runs one analyzer over a fixture whose
+// suppressions name a deleted analyzer and two live ones: only the dead key
+// is reported, checked against the whole suite rather than the selection.
+func TestOrphanedSuppression(t *testing.T) {
+	linttest.Run(t, linttest.TestData(), lint.RNGStream, "nsmac/suppressfix")
 }

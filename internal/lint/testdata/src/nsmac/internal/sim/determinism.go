@@ -1,3 +1,5 @@
+// Package sim is the fixture stub of nsmac/internal/sim: seeded determinism
+// violations in a deterministic package.
 package sim
 
 import (

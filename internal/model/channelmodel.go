@@ -234,6 +234,15 @@ func (m jamModel) PerturbSpec() PerturbSpec {
 // collision is indistinguishable from silence for every station.
 func None() ChannelModel { return noneModel{} }
 
+// OrNone returns m, or None when m is nil: the one place that decides an
+// unset channel means the paper's channel.
+func OrNone(m ChannelModel) ChannelModel {
+	if m == nil {
+		return None()
+	}
+	return m
+}
+
 // CD returns the full collision-detection model: every station distinguishes
 // collision from silence (the TreeCD baseline's requirement).
 func CD() ChannelModel { return cdModel{} }
@@ -265,14 +274,4 @@ func Jam(q int64) ChannelModel {
 		panic(fmt.Sprintf("model: negative jam budget %d", q))
 	}
 	return jamModel{q: q}
-}
-
-// Model resolves the deprecated feedback enum to its ChannelModel: None for
-// NoCollisionDetection, CD for CollisionDetection. Unknown enum values map
-// to None, matching the enum's historical Observe behaviour.
-func (m FeedbackModel) Model() ChannelModel {
-	if m == CollisionDetection {
-		return CD()
-	}
-	return None()
 }

@@ -177,30 +177,6 @@ func TestChannelConstructorsValidate(t *testing.T) {
 	mustPanic("Jam(-1)", func() { Jam(-1) })
 }
 
-// TestFeedbackModelResolvesToChannelModel pins the deprecation path: the
-// enum's two values alias the two original channel models, and unknown enum
-// values degrade to the paper default, matching Observe's behaviour.
-func TestFeedbackModelResolvesToChannelModel(t *testing.T) {
-	if NoCollisionDetection.Model().Name() != "none" {
-		t.Error("NoCollisionDetection does not resolve to none")
-	}
-	if CollisionDetection.Model().Name() != "cd" {
-		t.Error("CollisionDetection does not resolve to cd")
-	}
-	if FeedbackModel(9).Model().Name() != "none" {
-		t.Error("unknown enum value does not degrade to none")
-	}
-	// The alias is behavioural, not just nominal: Observe must agree with
-	// the resolved model's listener delivery on every outcome.
-	for _, fm := range []FeedbackModel{NoCollisionDetection, CollisionDetection} {
-		for _, fb := range []Feedback{Silence, Success, Collision} {
-			if fm.Observe(fb) != fm.Model().Deliver(fb, false, false) {
-				t.Errorf("enum %d and model %s disagree on %v", fm, fm.Model().Name(), fb)
-			}
-		}
-	}
-}
-
 // TestChannelStateReset: the state is fully rearmed — stream and counters —
 // by Reset, which is what lets the channel recycle it across trials.
 func TestChannelStateReset(t *testing.T) {

@@ -25,25 +25,6 @@ func TestFeedbackString(t *testing.T) {
 	}
 }
 
-func TestFeedbackModelObserve(t *testing.T) {
-	// The paper's model: collision is heard as silence.
-	if got := NoCollisionDetection.Observe(Collision); got != Silence {
-		t.Errorf("no-CD collision observed as %v, want silence", got)
-	}
-	if got := NoCollisionDetection.Observe(Success); got != Success {
-		t.Errorf("no-CD success observed as %v", got)
-	}
-	if got := NoCollisionDetection.Observe(Silence); got != Silence {
-		t.Errorf("no-CD silence observed as %v", got)
-	}
-	// CD model: everything passes through.
-	for _, fb := range []Feedback{Silence, Success, Collision} {
-		if got := CollisionDetection.Observe(fb); got != fb {
-			t.Errorf("CD %v observed as %v", fb, got)
-		}
-	}
-}
-
 func TestParamsValidate(t *testing.T) {
 	good := []Params{
 		{N: 1},

@@ -9,35 +9,7 @@ import (
 
 // This file drives the pluggable channel models through the engine: role-
 // dependent delivery (sender_cd, ack), perturbation determinism (noisy,
-// jam), energy accounting, and the Options.Channel / Options.Feedback
-// fallback contract.
-
-// TestOptionsChannelFallback: nil Channel resolves through the deprecated
-// enum, and an explicit Channel wins over the enum.
-func TestOptionsChannelFallback(t *testing.T) {
-	p := model.Params{N: 4, S: -1}
-	w := model.Simultaneous([]int{1, 2}, 0)
-
-	// parityAdaptive resolves only when collision feedback reaches it.
-	res, _, err := Run(parityAdaptive{}, p, w, Options{
-		Horizon: 20, Adaptive: true, Feedback: model.CollisionDetection,
-	})
-	if err != nil || !res.Succeeded {
-		t.Fatalf("enum fallback lost CD: %+v (%v)", res, err)
-	}
-	// Channel overrides the enum: the paper channel masks the collision
-	// even though the enum says CD.
-	res, _, err = Run(parityAdaptive{}, p, w, Options{
-		Horizon: 20, Adaptive: true, Feedback: model.CollisionDetection,
-		Channel: model.None(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Succeeded {
-		t.Fatalf("explicit Channel did not override the enum: %+v", res)
-	}
-}
+// jam) and energy accounting.
 
 // echoStation records the feedback delivered to it, slot by slot.
 type echoAlgo struct{}

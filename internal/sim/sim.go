@@ -27,15 +27,8 @@ type Options struct {
 	// it, so silent non-termination is impossible.
 	Horizon int64
 	// Channel selects the channel model (feedback regime plus optional
-	// noise/jam perturbation). Nil falls back to the deprecated Feedback
-	// enum, i.e. the paper's model.None by default.
+	// noise/jam perturbation). Nil selects the paper's model.None.
 	Channel model.ChannelModel
-	// Feedback selects between the two original feedback regimes.
-	//
-	// Deprecated: set Channel instead; Feedback is consulted only when
-	// Channel is nil and resolves via model.FeedbackModel.Model.
-	//nsmac:deprecated-ok the deprecated field's own declaration anchors the alias layer
-	Feedback model.FeedbackModel
 	// Adaptive runs stations via BuildAdaptive when the algorithm supports
 	// it, delivering per-slot feedback to every awake station.
 	Adaptive bool

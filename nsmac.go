@@ -68,15 +68,9 @@ type (
 	// ChannelSenderCD, ChannelAck, ChannelNoisy, ChannelJam — or register a
 	// custom model with sweep.RegisterChannel to use it as a sweep axis.
 	ChannelModel = model.ChannelModel
-	// FeedbackModel selects between the two original feedback regimes.
-	//
-	// Deprecated: the enum survives as an alias layer over the ChannelModel
-	// API; NoCollisionDetection and CollisionDetection resolve to the
-	// ChannelNone and ChannelCD built-in models (via its Model method).
-	FeedbackModel = model.FeedbackModel
 	// Channel is the slotted medium; returned by Run for transcript access.
 	Channel = channel.Channel
-	// RunOptions configures a simulation (horizon, feedback, tracing).
+	// RunOptions configures a simulation (horizon, channel model, tracing).
 	RunOptions = sim.Options
 	// AllResult reports a conflict-resolution run (every station succeeds).
 	AllResult = sim.AllResult
@@ -93,15 +87,6 @@ const (
 	Silence   = model.Silence
 	Success   = model.Success
 	Collision = model.Collision
-
-	// NoCollisionDetection is the paper's feedback model.
-	//
-	// Deprecated: use RunOptions.Channel = ChannelNone() (the default).
-	NoCollisionDetection = model.NoCollisionDetection
-	// CollisionDetection passes collision feedback through (TreeCD).
-	//
-	// Deprecated: use RunOptions.Channel = ChannelCD().
-	CollisionDetection = model.CollisionDetection
 )
 
 // Channel models ---------------------------------------------------------
@@ -213,7 +198,7 @@ func NewRPDWithK() *RPD { return core.NewRPDWithK() }
 func NewKGConflictResolution() Algorithm { return core.NewKGConflictResolution() }
 
 // NewTreeCD returns Capetanakis binary splitting (requires
-// CollisionDetection feedback, Adaptive run options, simultaneous start).
+// RunOptions.Channel = ChannelCD(), Adaptive run options, simultaneous start).
 func NewTreeCD() Algorithm { return core.NewTreeCD() }
 
 // NewLocalSSF returns the heuristic locally-synchronized baseline, a
